@@ -76,7 +76,6 @@ class StepperConfig:
     t_end: float
     n_modes_u: int | None = None
     n_modes_phi: int | None = None
-    integrator: str = "rk4"
     stability_safety: float = 1.0
     allow_unstable_dt: bool = False
 
@@ -87,8 +86,6 @@ class StepperConfig:
             raise DomainError("t_end must be nonnegative")
         if not 0 < self.stability_safety <= 1:
             raise DomainError("stability_safety must lie in (0, 1]")
-        if self.integrator != "rk4":
-            raise DomainError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass(frozen=True)
@@ -164,9 +161,13 @@ def _inner(a, b) -> float:
     return float(np.sum(np.conj(a) * b).real)
 
 
+def _norm(a) -> float:
+    return float(np.sqrt(_inner(a, a)))
+
+
 def _cg(apply_a, b, x0, rtol, label):
     """Conjugate gradients on (possibly stacked) complex coefficients."""
-    bnorm = np.sqrt(_inner(b, b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
     x = x0.copy()
@@ -179,10 +180,20 @@ def _cg(apply_a, b, x0, rtol, label):
         ap = apply_a(p)
         den = _inner(p, ap)
         if den <= 0.0:
-            # the mass operators are positive definite, so vanishing
-            # curvature only happens when the search direction has
-            # underflowed; the residual is already at the noise floor
-            return x
+            # the mass operators are positive definite on their range, so
+            # zero curvature puts p in their null space: rounding of b
+            # (its anti-Hermitian or compressive part) that no x can
+            # match. x stands when the true residual meets rtol, or the
+            # part of it the operator sees does; else A is indefinite.
+            r_true = b - apply_a(x)
+            residual = _norm(r_true) / bnorm
+            if residual <= rtol or _norm(apply_a(r_true)) <= rtol * _norm(apply_a(b)):
+                return x
+            raise SolverError(
+                f"{label} mass solve met curvature {den:.3g} <= 0 at relative "
+                f"residual {residual:.3g}",
+                residual=residual,
+            )
         alpha = rs / den
         x = x + alpha * p
         r = r - alpha * ap

@@ -132,13 +132,13 @@ class VelocityHistory:
         return self._locate(tau).coef_at(tau)
 
     def velocity_at(self, pts: np.ndarray, tau: float) -> np.ndarray:
-        """Velocity (P, 2) at arbitrary points by exact band evaluation."""
+        """Velocity (P, 2) at arbitrary points by band evaluation."""
         c = self.coef_at(tau)
         return _eval_velocity(self.grid, c, pts)
 
 
 def _eval_velocity(grid, vcoef, pts):
-    return np.stack([grid.eval_at(vcoef[0], pts), grid.eval_at(vcoef[1], pts)], axis=-1)
+    return grid.eval_at(vcoef, pts).T
 
 
 def _rk4_span(model, grid, pts, t_a: float, t_b: float, n_sub: int):
@@ -240,9 +240,7 @@ def mollify_initial_density(rho0_raw, width: float, lengths=None):
 def evaluate_displacement(grid: TorusGrid, disp: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Spectrally evaluate a grid-sampled periodic displacement (2, n1, n2)
     at arbitrary points, returning (P, 2)."""
-    c1 = grid.to_spectral(disp[0])
-    c2 = grid.to_spectral(disp[1])
-    return np.stack([grid.eval_at(c1, pts), grid.eval_at(c2, pts)], axis=-1)
+    return grid.eval_at(grid.to_spectral(disp), pts).T
 
 
 def compose_displacement(grid: TorusGrid, disp_prev, feet: np.ndarray) -> np.ndarray:

@@ -233,9 +233,92 @@ def test_eval_at_matches_grid_and_is_periodic():
     assert np.max(np.abs(grid.eval_at(coef, shifted) - grid.eval_at(coef, pts2))) < 1e-10
 
 
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def _band_coef(grid, rng):
+    return grid.to_spectral(random_band_field(grid, rng))
+
+
+@pytest.mark.parametrize("n, reach", [(32, 1e-3), (128, 1e-5)])
+def test_eval_at_taylor_path_on_stepper_like_points(n, reach):
+    # feet of one step: mesh + delta with |delta| ~ |u| dt, unwrapped by
+    # whole box lengths as the characteristic tracer leaves them
+    rng = np.random.default_rng(n)
+    grid = TorusGrid((2 * np.pi, 4 * np.pi), (n, n))
+    coef = _band_coef(grid, rng)
+    mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
+    pts = mesh + rng.uniform(-reach, reach, mesh.shape)
+    pts += np.array(grid.lengths) * rng.integers(-2, 3, size=mesh.shape)
+    assert grid._plan(pts)[2] is not None
+    assert _relative_gap(grid.eval_at(coef, pts), grid._eval_dense(coef, pts)) <= 1e-13
+
+
+def test_eval_at_arbitrary_points_take_the_dense_path():
+    rng = np.random.default_rng(29)
+    grid = make_grid(32)
+    coef = _band_coef(grid, rng)
+    pts = rng.uniform(-10, 10, size=(grid.n_grid[0] * grid.n_grid[1], 2))
+    nodes, delta, order = grid._plan(pts)
+    assert order is None
+    np.testing.assert_array_equal(grid.eval_at(coef, pts), grid._eval_dense(coef, pts))
+    # the remainder bound holds at any offset from the nodes, even where
+    # the dense sum is cheaper
+    taylor = grid._eval_taylor(coef[None], nodes, delta, grid._taylor_order(delta))[0]
+    assert _relative_gap(taylor, grid._eval_dense(coef, pts)) <= 1e-13
+    # so far out that rounding breaks the split into node and offset, or
+    # not finite (a blowing-up trace): dense as well
+    for far in (1e200, np.nan):
+        assert grid._plan(np.full((3, 2), far))[2] is None
+
+
+@pytest.mark.parametrize("reach", [1e-3, 0.3])
+def test_eval_at_stacked_fields(reach):
+    rng = np.random.default_rng(17)
+    grid = make_grid(32)
+    coef = np.stack([_band_coef(grid, rng), _band_coef(grid, rng)])
+    mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
+    pts = mesh + rng.uniform(-reach, reach, mesh.shape)
+    assert (grid._plan(pts)[2] is None) == (reach > 0.1)
+    vals = grid.eval_at(coef, pts)
+    assert vals.shape == (2, len(pts))
+    dense = grid._eval_dense(coef, pts)
+    assert _relative_gap(vals, dense) <= 1e-13
+    for i in range(2):
+        np.testing.assert_array_equal(dense[i], grid._eval_dense(coef[i], pts))
+        assert _relative_gap(grid.eval_at(coef[i], pts), dense[i]) <= 1e-13
+
+
+def test_eval_at_on_the_nodes_is_order_zero():
+    rng = np.random.default_rng(3)
+    grid = TorusGrid((1.0, 3.0), (64, 32))
+    coef = _band_coef(grid, rng)
+    pts = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
+    assert grid._plan(pts)[2] == 0
+    vals = grid.eval_at(coef, pts)
+    assert _relative_gap(vals, grid._eval_dense(coef, pts)) <= 1e-13
+    assert _relative_gap(vals, grid.to_grid(coef).ravel()) <= 1e-13
+
+
+def test_eval_at_taylor_path_keeps_the_real_part_of_any_coefficients():
+    # coefficients of no real field, as a Galerkin truncation that splits
+    # a shell of |k|^2 leaves them: both paths return the real part
+    rng = np.random.default_rng(8)
+    grid = make_grid(32)
+    coef = grid.project_scalar(_band_coef(grid, rng), 3)
+    coef[2, 5] += 0.7j
+    mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
+    pts = mesh + rng.uniform(-1e-3, 1e-3, mesh.shape)
+    assert grid._plan(pts)[2] is not None
+    assert _relative_gap(grid.eval_at(coef, pts), grid._eval_dense(coef, pts)) <= 1e-13
+
+
 def test_shape_mismatch_raises():
     grid = make_grid(16)
     with pytest.raises(DimensionError):
         grid.to_spectral(np.zeros((8, 8)))
     with pytest.raises(DimensionError):
         grid.eval_at(np.zeros(grid.n_grid, dtype=complex), np.zeros((4, 3)))
+    with pytest.raises(DimensionError):
+        grid.eval_at(np.zeros((8, 8), dtype=complex), np.zeros((4, 2)))

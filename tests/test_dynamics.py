@@ -8,6 +8,7 @@ from achns.dynamics import (
     MaterialLaws,
     Problem,
     StepperConfig,
+    _cg,
     linearized_rhs,
     rhs,
     run,
@@ -15,7 +16,7 @@ from achns.dynamics import (
     stability_bound,
     step,
 )
-from achns.errors import BlowUpError, DomainError, StabilityError
+from achns.errors import BlowUpError, DomainError, SolverError, StabilityError
 from achns.potential import PotentialSpec, f_eps_prime
 from achns.profiles import (
     ConstantDensity,
@@ -97,8 +98,6 @@ def test_stepper_config_validation():
         StepperConfig(dt=1e-3, t_end=1.0, stability_safety=0.0)
     with pytest.raises(DomainError):
         StepperConfig(dt=1e-3, t_end=1.0, stability_safety=1.5)
-    with pytest.raises(DomainError):
-        StepperConfig(dt=1e-3, t_end=1.0, integrator="euler")
 
 
 def test_problem_validation():
@@ -124,6 +123,24 @@ def test_stability_bound_formula():
     r_big = 1.1 + np.sqrt(0.02)
     expected = min(h * h * 1.0 / (4 * 0.12), h**4 * 1.0 / (8 * 0.015 * r_big))
     assert stability_bound(prob) == pytest.approx(expected, rel=1e-12)
+
+
+# --- linear solves -------------------------------------------------------------
+
+def test_cg_raises_on_nonpositive_curvature():
+    b = np.ones((4, 4), dtype=complex)
+    with pytest.raises(SolverError) as info:
+        _cg(lambda x: -x, b, np.zeros_like(b), 1e-13, "potential")
+    assert info.value.residual == pytest.approx(1.0)
+
+
+def test_cg_accepts_a_residual_in_the_operator_null_space():
+    # as a mass operator meets the rounding of b it cannot produce: x0
+    # solves the system in the operator's range, and nothing better exists
+    mask = np.array([1.0, 1.0, 0.0])
+    b = np.array([0.0, 0.0, 1e-3], dtype=complex)
+    x = _cg(lambda x: mask * x, b, np.zeros_like(b), 1e-13, "velocity")
+    np.testing.assert_array_equal(x, np.zeros_like(b))
 
 
 # --- chemical potential solves ------------------------------------------------

@@ -234,3 +234,31 @@ def test_evaluate_displacement_matches_grid_values():
     vals = evaluate_displacement(GRID, disp, pts)
     np.testing.assert_allclose(vals[:, 0], disp[0].ravel(), atol=1e-12)
     np.testing.assert_allclose(vals[:, 1], disp[1].ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("n, dt", [(32, 0.004), (128, 2e-5)])
+def test_stepper_evaluations_match_the_dense_sum(n, dt, monkeypatch):
+    # one step of the stepper's transport at its own dt: the feet and the
+    # composed displacement take the Taylor path and agree with the
+    # dense trigonometric sum
+    grid = TorusGrid(L, (n, n))
+    u = u_random_solenoidal(grid, seed=5, kmax=6, amplitude=0.5)
+    hist = steady_history(grid, u, 0.0, dt)
+    pts = grid_pts(grid)
+    feet = trace_points(hist, pts, dt, 0.0)
+    disp = compose_displacement(grid, None, feet)
+    assert grid._plan(feet)[2] is not None
+    vel = evaluate_displacement(grid, u, feet)
+    twice = compose_displacement(grid, disp, feet)
+
+    def dense(self, coef, points):
+        return self._eval_dense(np.asarray(coef), np.asarray(points, dtype=float))
+
+    monkeypatch.setattr(TorusGrid, "eval_at", dense)
+    feet_dense = trace_points(hist, pts, dt, 0.0)
+    step = np.abs(feet_dense - pts).max()
+    assert np.abs(feet - feet_dense).max() <= 1e-13 * step
+    vel_dense = evaluate_displacement(grid, u, feet)
+    assert np.abs(vel - vel_dense).max() <= 1e-13 * np.abs(vel_dense).max()
+    twice_dense = compose_displacement(grid, disp, feet)
+    assert np.abs(twice - twice_dense).max() <= 1e-13 * np.abs(twice_dense).max()
