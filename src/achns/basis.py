@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import DimensionError
 
@@ -76,12 +77,12 @@ class TorusGrid:
     @cached_property
     def k1_int(self):
         n = self.n_grid[0]
-        return np.rint(np.fft.fftfreq(n) * n).astype(int)
+        return np.rint(scipy.fft.fftfreq(n) * n).astype(int)
 
     @cached_property
     def k2_int(self):
         n = self.n_grid[1]
-        return np.rint(np.fft.fftfreq(n) * n).astype(int)
+        return np.rint(scipy.fft.fftfreq(n) * n).astype(int)
 
     @cached_property
     def k1(self):
@@ -140,18 +141,53 @@ class TorusGrid:
             )
 
     def to_spectral(self, values):
-        """Grid values -> retained-band coefficients."""
+        """Grid values (..., N1, N2) -> retained-band coefficients.
+
+        One real-to-complex transform per stack gives the columns
+        k2 = 0..K2; the columns k2 = -K2..-1, and the rows k1 < 0 of
+        column 0, are their conjugate mirrors, so the result is exactly
+        Hermitian.
+        """
         values = np.asarray(values)
         self._check_grid_shape(values)
-        norm = self.n_grid[0] * self.n_grid[1]
-        return np.fft.fft2(values) / norm * self.dealias_mask
+        n1, n2 = self.n_grid
+        kc1, kc2 = self.cutoff
+        h = scipy.fft.rfft2(values, norm="forward")
+        out = np.zeros(h.shape[:-1] + (n2,), dtype=complex)
+        out[..., :kc1 + 1, :kc2 + 1] = h[..., :kc1 + 1, :kc2 + 1]
+        out[..., n1 - kc1:, 1:kc2 + 1] = h[..., n1 - kc1:, 1:kc2 + 1]
+        out[..., n1 - kc1:, 0] = np.conj(h[..., kc1:0:-1, 0])
+        out[..., 0, n2 - kc2:] = np.conj(out[..., 0, kc2:0:-1])
+        out[..., 1:, n2 - kc2:] = np.conj(out[..., :0:-1, kc2:0:-1])
+        return out
 
     def to_grid(self, coef):
-        """Retained-band coefficients -> real grid values."""
+        """Coefficients (..., N1, N2) -> real grid values.
+
+        The real part of the inverse transform is the inverse real
+        transform of the Hermitian part on the half plane k2 >= 0, so
+        any coefficients give what ``ifft2(coef * N1 N2).real`` would,
+        band-limited and Hermitian or not.
+        """
         coef = np.asarray(coef)
         self._check_grid_shape(coef)
-        norm = self.n_grid[0] * self.n_grid[1]
-        return np.fft.ifft2(coef * norm).real
+        half = self._hermitian_half(coef, self.n_grid[1] // 2 + 1)
+        return scipy.fft.irfft2(half, s=self.n_grid, norm="forward")
+
+    def _hermitian_half(self, coef, ncols):
+        """(c_k + conj c_-k) / 2 on the columns k2 = 0..ncols-1: the
+        coefficients of the real part of the field of c. The mirror
+        c_-k is built by reversing rows and columns."""
+        n2 = self.n_grid[1]
+        mirror = np.empty(coef.shape[:-1] + (ncols,), dtype=complex)
+        mirror[..., 0, 0] = coef[..., 0, 0]
+        mirror[..., 1:, 0] = coef[..., :0:-1, 0]
+        mirror[..., 0, 1:] = coef[..., 0, n2 - 1:n2 - ncols:-1]
+        mirror[..., 1:, 1:] = coef[..., :0:-1, n2 - 1:n2 - ncols:-1]
+        np.conj(mirror, out=mirror)
+        mirror += coef[..., :ncols]
+        mirror *= 0.5
+        return mirror
 
     def mask(self, coef):
         return coef * self.dealias_mask
@@ -166,21 +202,24 @@ class TorusGrid:
         """Spectral divergence of a 2-vector coefficient stack."""
         return 1j * self.k1 * vcoef[0] + 1j * self.k2 * vcoef[1]
 
+    @cached_property
+    def _leray_factors(self):
+        """k / |k|^2 as a (2, N1, N2) stack, 0 at the zero mode."""
+        ksq = self.k_sq.copy()
+        ksq[0, 0] = 1.0  # zero mode handled by k being zero
+        return np.stack(np.broadcast_arrays(self.k1 / ksq, self.k2 / ksq))
+
     def leray_project(self, vcoef):
         """Remove the compressive part: u_k <- (I - k k^T/|k|^2) u_k.
 
         The zero mode is preserved; idempotent.
         """
-        ksq = self.k_sq.copy()
-        ksq[0, 0] = 1.0  # zero mode handled by the numerator being zero
         kdotu = self.k1 * vcoef[0] + self.k2 * vcoef[1]
-        out = np.stack(
-            [vcoef[0] - self.k1 * kdotu / ksq, vcoef[1] - self.k2 * kdotu / ksq]
-        )
-        return out
+        return vcoef - self._leray_factors * kdotu
 
     def project_scalar(self, coef, n_modes):
-        """Keep the n_modes lowest-|k|^2 retained modes of a scalar field.
+        """Keep the n_modes lowest-|k|^2 retained modes of a scalar field
+        (N1, N2) or of each field of a stack (..., N1, N2).
 
         Ties in |k|^2 are broken lexicographically on (k1, k2), matching
         the canonical mode order.
@@ -189,9 +228,10 @@ class TorusGrid:
             raise DimensionError(
                 f"n_modes must lie in [0, {self.n_band_modes}], got {n_modes}"
             )
-        out = np.zeros_like(coef).ravel()
+        flat = coef.reshape(coef.shape[:-2] + (-1,))
+        out = np.zeros_like(flat)
         keep = self.mode_order[:n_modes]
-        out[keep] = coef.ravel()[keep]
+        out[..., keep] = flat[..., keep]
         return out.reshape(coef.shape)
 
     # --- quadrature --------------------------------------------------------
@@ -289,17 +329,14 @@ class TorusGrid:
         """
         n1, n2 = self.n_grid
         kc2 = self.cutoff[1]
-        c = stack * self.dealias_mask
-        neg1 = (-np.arange(n1)) % n1
-        neg2 = (-np.arange(kc2 + 1)) % n2
-        half = 0.5 * (c[..., :kc2 + 1] + np.conj(c[..., neg1[:, None], neg2[None, :]]))
+        half = self._hermitian_half(stack * self.dealias_mask, kc2 + 1)
         powers = np.arange(order + 1)
         fact = np.cumprod(np.maximum(powers, 1)).astype(float)[:, None, None]
         sym1 = (1j * self.k1) ** powers[:, None, None] / fact              # (M+1, N1, 1)
         sym2 = (1j * self.k2[:, :kc2 + 1]) ** powers[:, None, None] / fact  # (M+1, 1, K2+1)
         a, b = np.array([(i, d - i) for d in range(order + 1) for i in range(d + 1)]).T
-        part = np.fft.ifft(sym1[:, None] * half, axis=-2, norm="forward")
-        fields = np.fft.irfft(part[a] * sym2[b][:, None], n=n2, axis=-1, norm="forward")
+        part = scipy.fft.ifft(sym1[:, None] * half, axis=-2, norm="forward")
+        fields = scipy.fft.irfft(part[a] * sym2[b][:, None], n=n2, axis=-1, norm="forward")
         idx = (nodes[:, 0].astype(np.int64) % n1) * n2 + nodes[:, 1].astype(np.int64) % n2
         at_nodes = np.take(fields.reshape(fields.shape[:2] + (n1 * n2,)), idx, axis=-1)
         monomials = _powers(delta[:, 0], order)[a] * _powers(delta[:, 1], order)[b]

@@ -64,31 +64,27 @@ def energy_report(grid: TorusGrid, state: FlowState, laws: MaterialLaws,
     """Evaluate the full energy ledger of one state by collocation
     quadrature."""
     rho = state.rho.values
-    ug = np.stack([grid.to_grid(state.u[0]), grid.to_grid(state.u[1])])
+    ug = grid.to_grid(state.u)
     phig = grid.to_grid(state.phi)
 
     e_kin = 0.5 * grid.quadrature(rho * (ug[0] ** 2 + ug[1] ** 2))
 
     gphi = grid.grad(state.phi)
-    gphi_vals = np.stack([grid.to_grid(gphi[0]), grid.to_grid(gphi[1])])
+    gphi_vals = grid.to_grid(gphi)
     e_surf = 0.5 * grid.quadrature(gamma_sq(model, np.moveaxis(gphi_vals, 0, -1)))
 
     e_pot = grid.quadrature(rho * f_eps(spec, phig))
 
     # velocity gradient tensor d_j u_i and the symmetric stress pairing
-    du = np.empty((2, 2) + grid.n_grid)
-    for i in range(2):
-        gi = grid.grad(state.u[i])
-        du[i, 0] = grid.to_grid(gi[0])
-        du[i, 1] = grid.to_grid(gi[1])
+    du = grid.to_grid(np.stack([grid.grad(state.u[0]), grid.grad(state.u[1])]))
     contraction = np.zeros(grid.n_grid)
     for i in range(2):
         for j in range(2):
             contraction += (du[i, j] + du[j, i]) * du[i, j]
     d_visc = grid.quadrature(laws.nu(phig) * contraction)
 
-    gmu = grid.grad(state.mu)
-    gmu_sq = grid.to_grid(gmu[0]) ** 2 + grid.to_grid(gmu[1]) ** 2
+    gmu = grid.to_grid(grid.grad(state.mu))
+    gmu_sq = gmu[0] ** 2 + gmu[1] ** 2
     d_diff = grid.quadrature(laws.mobility(phig) * gmu_sq)
 
     fpr = f_eps_prime(spec, phig)

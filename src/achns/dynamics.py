@@ -131,12 +131,10 @@ class Problem:
 
     def initial_state(self, u0_grid, phi0_grid, cfg: StepperConfig) -> FlowState:
         g = self.grid
-        u = g.leray_project(
-            np.stack([g.to_spectral(u0_grid[0]), g.to_spectral(u0_grid[1])])
-        )
+        u = g.leray_project(g.to_spectral(np.asarray(u0_grid, dtype=float)))
         phi = g.to_spectral(np.asarray(phi0_grid, dtype=float))
         if cfg.n_modes_u is not None:
-            u = np.stack([g.project_scalar(c, cfg.n_modes_u) for c in u])
+            u = g.project_scalar(u, cfg.n_modes_u)
         if cfg.n_modes_phi is not None:
             phi = g.project_scalar(phi, cfg.n_modes_phi)
         rho = density_from_displacement(self.rho0, g, None)
@@ -157,28 +155,36 @@ def stability_bound(problem: Problem) -> float:
 
 # --- linear solves -----------------------------------------------------------
 
-def _inner(a, b) -> float:
-    return float(np.sum(np.conj(a) * b).real)
-
-
 def _norm(a) -> float:
-    return float(np.sqrt(_inner(a, a)))
+    return float(np.sqrt(np.vdot(a, a).real))
 
 
 def _cg(apply_a, b, x0, rtol, label):
-    """Conjugate gradients on (possibly stacked) complex coefficients."""
-    bnorm = _norm(b)
-    if bnorm == 0.0:
+    """Conjugate gradients on (possibly stacked) complex coefficients.
+
+    The iteration runs on b and x0 divided by max|b| rounded up to a
+    power of two, so no inner product overflows or underflows. The
+    scaling is exact: where the unscaled solve stays finite, its iterates
+    are these scaled back. x, r and p are updated in place.
+    """
+    bmax = float(np.max(np.abs(b)))
+    if not np.isfinite(bmax):
+        raise SolverError(f"{label} mass solve got a non-finite right-hand side")
+    if bmax == 0.0:
         return np.zeros_like(b)
-    x = x0.copy()
+    # 1 / 2^e with 2^(e-1) <= max|b| < 2^e; e >= -1000 keeps it finite
+    inv = np.ldexp(1.0, -max(int(np.frexp(bmax)[1]), -1000))
+    b = b * inv
+    x = x0 * inv
+    bnorm = _norm(b)
     r = b - apply_a(x)
-    rs = _inner(r, r)
+    rs = np.vdot(r, r).real
     if np.sqrt(rs) <= rtol * bnorm:
-        return x
+        return x / inv
     p = r.copy()
     for _ in range(_MAX_CG_ITER):
         ap = apply_a(p)
-        den = _inner(p, ap)
+        den = np.vdot(p, ap).real
         if den <= 0.0:
             # the mass operators are positive definite on their range, so
             # zero curvature puts p in their null space: rounding of b
@@ -188,19 +194,20 @@ def _cg(apply_a, b, x0, rtol, label):
             r_true = b - apply_a(x)
             residual = _norm(r_true) / bnorm
             if residual <= rtol or _norm(apply_a(r_true)) <= rtol * _norm(apply_a(b)):
-                return x
+                return x / inv
             raise SolverError(
                 f"{label} mass solve met curvature {den:.3g} <= 0 at relative "
                 f"residual {residual:.3g}",
                 residual=residual,
             )
         alpha = rs / den
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = _inner(r, r)
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = np.vdot(r, r).real
         if np.sqrt(rs_new) <= rtol * bnorm:
-            return x
-        p = r + (rs_new / rs) * p
+            return x / inv
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     raise SolverError(
         f"{label} mass solve did not reach rtol={rtol}",
@@ -219,13 +226,9 @@ def _scalar_mass_apply(grid, rho_vals, n_modes):
 
 def _vector_mass_apply(grid, rho_vals, n_modes):
     def apply_a(w):
-        out = np.stack(
-            [grid.to_spectral(rho_vals * grid.to_grid(w[0])),
-             grid.to_spectral(rho_vals * grid.to_grid(w[1]))]
-        )
-        out = grid.leray_project(out)
+        out = grid.leray_project(grid.to_spectral(rho_vals * grid.to_grid(w)))
         if n_modes is not None:
-            out = np.stack([grid.project_scalar(c, n_modes) for c in out])
+            out = grid.project_scalar(out, n_modes)
         return out
 
     return apply_a
@@ -240,9 +243,9 @@ def solve_mu(grid: TorusGrid, phi, rho: DensityField, model: AnisotropyModel,
     rho_vals = rho.values
     phig = grid.to_grid(phi)
     gphi = grid.grad(phi)
-    gphi_vals = np.stack([grid.to_grid(gphi[0]), grid.to_grid(gphi[1])])
+    gphi_vals = grid.to_grid(gphi)
     xi = xi_cap(model, np.moveaxis(gphi_vals, 0, -1))
-    flux = np.stack([grid.to_spectral(xi[..., 0]), grid.to_spectral(xi[..., 1])])
+    flux = grid.to_spectral(np.moveaxis(xi, -1, 0))
     b = -grid.div(flux) + grid.to_spectral(rho_vals * f_eps_prime(spec, phig))
     if n_modes is not None:
         b = grid.project_scalar(b, n_modes)
@@ -261,28 +264,20 @@ def _assemble(grid, rho_vals, u, phi, mu, adv_u, trans_phi, law_phi, cap_phi,
     self-consistent system (all equal to the current state) from the
     linearized one (advection velocity, transported gradient, material
     coefficients, and capillary gradient frozen)."""
-    ug = np.stack([grid.to_grid(u[0]), grid.to_grid(u[1])])
-    advg = ug if adv_u is u else np.stack([grid.to_grid(adv_u[0]), grid.to_grid(adv_u[1])])
+    ug = grid.to_grid(u)
+    advg = ug if adv_u is u else grid.to_grid(adv_u)
     phig = grid.to_grid(phi)
     lawg = phig if law_phi is phi else grid.to_grid(law_phi)
     mug = grid.to_grid(mu)
     nu = laws.nu(lawg)
     dd = laws.mobility(lawg)
 
-    # velocity gradients d_j u_i on the grid
-    du = np.empty((2, 2) + grid.n_grid)
-    for i in range(2):
-        gi = grid.grad(u[i])
-        du[i, 0] = grid.to_grid(gi[0])
-        du[i, 1] = grid.to_grid(gi[1])
+    # velocity gradients d_j u_i on the grid, as du[i, j]
+    du = grid.to_grid(np.stack([grid.grad(u[0]), grid.grad(u[1])]))
 
     gphi_cur = grid.grad(phi)
-    gphi_cur_vals = np.stack([grid.to_grid(gphi_cur[0]), grid.to_grid(gphi_cur[1])])
-    if cap_phi is phi:
-        gcap_vals = gphi_cur_vals
-    else:
-        gc = grid.grad(cap_phi)
-        gcap_vals = np.stack([grid.to_grid(gc[0]), grid.to_grid(gc[1])])
+    gphi_cur_vals = grid.to_grid(gphi_cur)
+    gcap_vals = gphi_cur_vals if cap_phi is phi else grid.to_grid(grid.grad(cap_phi))
 
     fpr = f_eps_prime(spec, phig)
     b_u = np.empty((2,) + grid.n_grid, dtype=complex)
@@ -291,12 +286,12 @@ def _assemble(grid, rho_vals, u, phi, mu, adv_u, trans_phi, law_phi, cap_phi,
         # symmetric stress row: S_ij = d_j u_i + d_i u_j
         s_i0 = nu * (du[i, 0] + du[0, i])
         s_i1 = nu * (du[i, 1] + du[1, i])
-        stress_div = grid.div(np.stack([grid.to_spectral(s_i0), grid.to_spectral(s_i1)]))
+        stress_div = grid.div(grid.to_spectral(np.stack([s_i0, s_i1])))
         force = rho_vals * (mug * gcap_vals[i] - fpr * gphi_cur_vals[i])
         b_u[i] = -grid.to_spectral(conv) + stress_div + grid.to_spectral(force)
     b_u = grid.leray_project(b_u)
     if n_modes_u is not None:
-        b_u = np.stack([grid.project_scalar(c, n_modes_u) for c in b_u])
+        b_u = grid.project_scalar(b_u, n_modes_u)
 
     rho_bar = float(rho_vals.mean())
     dudt = _cg(
@@ -307,17 +302,10 @@ def _assemble(grid, rho_vals, u, phi, mu, adv_u, trans_phi, law_phi, cap_phi,
         "velocity",
     )
 
-    if trans_phi is phi:
-        gtrans_vals = gphi_cur_vals
-    else:
-        gt = grid.grad(trans_phi)
-        gtrans_vals = np.stack([grid.to_grid(gt[0]), grid.to_grid(gt[1])])
-    gmu = grid.grad(mu)
-    gmu_vals = np.stack([grid.to_grid(gmu[0]), grid.to_grid(gmu[1])])
+    gtrans_vals = gphi_cur_vals if trans_phi is phi else grid.to_grid(grid.grad(trans_phi))
+    gmu_vals = grid.to_grid(grid.grad(mu))
     conv_phi = rho_vals * (ug[0] * gtrans_vals[0] + ug[1] * gtrans_vals[1])
-    flux = grid.div(
-        np.stack([grid.to_spectral(dd * gmu_vals[0]), grid.to_spectral(dd * gmu_vals[1])])
-    )
+    flux = grid.div(grid.to_spectral(dd * gmu_vals))
     b_phi = -grid.to_spectral(conv_phi) + flux
     if n_modes_phi is not None:
         b_phi = grid.project_scalar(b_phi, n_modes_phi)

@@ -211,8 +211,8 @@ def residual_r_eps(grid: TorusGrid, state: FlowState, u_tilde, spec: PotentialSp
     grho = grid.grad(rc)
     if not (np.any(grho[0]) or np.any(grho[1])):
         return 0.0
-    dg = np.stack([grid.to_grid(diff[0]), grid.to_grid(diff[1])])
-    grho_vals = np.stack([grid.to_grid(grho[0]), grid.to_grid(grho[1])])
+    dg = grid.to_grid(diff)
+    grho_vals = grid.to_grid(grho)
     fvals = f_eps(spec, grid.to_grid(state.phi))
     return grid.quadrature(fvals * (dg[0] * grho_vals[0] + dg[1] * grho_vals[1]))
 

@@ -199,6 +199,69 @@ def test_project_scalar_identity_and_truncation():
     kept_max = np.max(ksq[kept])
     dropped = grid.dealias_mask.ravel() & ~kept
     assert kept_max <= np.min(ksq[dropped]) + 1e-12
+    # a stack (2, N1, N2) is truncated field by field
+    pair = np.stack([coef, grid.to_spectral(random_band_field(grid, rng))])
+    stacked = grid.project_scalar(pair, m)
+    assert stacked.shape == pair.shape
+    for i in range(2):
+        np.testing.assert_array_equal(stacked[i], grid.project_scalar(pair[i], m))
+
+
+_TRANSFORM_GRIDS = [((2 * np.pi, 4 * np.pi), (16, 32)), ((1.0, 1.0), (32, 32)),
+                    ((2 * np.pi, 2 * np.pi), (128, 128))]
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (4,)])
+@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
+def test_to_spectral_matches_the_complex_transform(lengths, n_grid, lead):
+    rng = np.random.default_rng(n_grid[0] + len(lead))
+    grid = TorusGrid(lengths, n_grid)
+    vals = rng.standard_normal(lead + n_grid)
+    want = np.fft.fft2(vals) / (n_grid[0] * n_grid[1]) * grid.dealias_mask
+    got = grid.to_spectral(vals)
+    assert got.shape == want.shape
+    assert _relative_gap(got, want) <= 1e-15
+    assert np.all(got[..., ~grid.dealias_mask] == 0)
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (4,)])
+@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
+def test_to_grid_matches_the_complex_transform_for_any_coefficients(lengths, n_grid, lead):
+    # full-plane coefficients of no real field: out-of-band entries, and
+    # k and -k unrelated, so only the real part of the inverse is defined
+    rng = np.random.default_rng(n_grid[1] + len(lead))
+    grid = TorusGrid(lengths, n_grid)
+    coef = rng.standard_normal(lead + n_grid) + 1j * rng.standard_normal(lead + n_grid)
+    want = np.fft.ifft2(coef * (n_grid[0] * n_grid[1])).real
+    got = grid.to_grid(coef)
+    assert got.shape == want.shape
+    assert _relative_gap(got, want) <= 1e-15
+
+
+@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
+def test_to_grid_of_split_shells(lengths, n_grid):
+    # a Galerkin truncation that keeps part of a shell of |k|^2 keeps k
+    # without -k, in the column k2 = 0 or off it; stacked with a band
+    # field, each keeps its own real part
+    rng = np.random.default_rng(4)
+    grid = TorusGrid(lengths, n_grid)
+    band = grid.to_spectral(random_band_field(grid, rng))
+    for n_modes in range(2, 7):
+        split = grid.project_scalar(band, n_modes)
+        pair = np.stack([split, band])
+        want = np.fft.ifft2(pair * (n_grid[0] * n_grid[1])).real
+        assert _relative_gap(grid.to_grid(pair), want) <= 1e-15
+        assert _relative_gap(grid.to_grid(split), want[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
+def test_to_spectral_is_exactly_hermitian(lengths, n_grid):
+    rng = np.random.default_rng(6)
+    grid = TorusGrid(lengths, n_grid)
+    coef = grid.to_spectral(rng.standard_normal((2,) + n_grid))
+    mirror = coef[..., (-grid.k1_int)[:, None], (-grid.k2_int)[None, :]]
+    np.testing.assert_array_equal(coef, np.conj(mirror))
+    assert np.all(coef[..., 0, 0].imag == 0)
 
 
 def test_quadrature_exact_for_band_fields():

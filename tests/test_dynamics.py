@@ -143,6 +143,22 @@ def test_cg_accepts_a_residual_in_the_operator_null_space():
     np.testing.assert_array_equal(x, np.zeros_like(b))
 
 
+def test_cg_solves_a_right_hand_side_whose_square_overflows():
+    # ||b||^2 is not representable; the solve scales b exactly instead
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    x = _cg(lambda x: x, 1e200 * b, np.zeros_like(b), 1e-13, "potential")
+    np.testing.assert_array_equal(x, 1e200 * b)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_cg_raises_on_a_non_finite_right_hand_side(bad):
+    b = np.ones((4, 4), dtype=complex)
+    b[1, 2] = bad
+    with pytest.raises(SolverError, match="non-finite"):
+        _cg(lambda x: x, b, np.zeros_like(b), 1e-13, "velocity")
+
+
 # --- chemical potential solves ------------------------------------------------
 
 def test_solve_mu_zero_field_exact_zero():
