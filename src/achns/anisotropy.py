@@ -146,9 +146,6 @@ class HypothesisReport:
     def all_hold(self) -> bool:
         return self.h1_holds and self.h2_holds and self.h3_holds
 
-    def csv_row(self) -> str:
-        return f"{self.r:.17g},{self.R:.17g},{int(self.h1_holds)},{int(self.h2_holds)},{int(self.h3_holds)}"
-
     def __str__(self):
         lines = [
             f"spectral bounds: r = {self.r:.12g}, R = {self.R:.12g}",

@@ -7,12 +7,17 @@ of the initial profile with an accumulated backward displacement, so
 its bounds never degrade. The chemical potential is slaved: it solves a
 density-weighted linear system at every evaluation.
 
-Time integration is a two-pass classical RK4. The first pass predicts
-the end-of-step velocity with a linear-in-time velocity model for the
-characteristic feet; the second pass rebuilds the stage densities from
-a cubic velocity model and recomputes the stages. That keeps the
-density consistent with the stage velocities to fifth order locally,
-which preserves the integrator's fourth-order self-convergence.
+One RK4 stage engine, `rk4_step`, advances (u, phi) over one step with
+the density riding the characteristics of a given velocity model. Two
+maps call it: the nonlinear stepper `step` with the self-consistent
+right-hand side, and the frozen-coefficient map of `fixedpoint` with the
+linearized one. `step` makes two passes. The first predicts the
+end-of-step velocity with a linear-in-time velocity model for the
+characteristic feet; the second rebuilds the stage densities from the
+cubic Hermite model through the predicted end and recomputes the stages.
+That keeps the density consistent with the stage velocities to fifth
+order locally, which preserves the integrator's fourth-order
+self-convergence.
 """
 
 from dataclasses import dataclass
@@ -26,7 +31,6 @@ from .potential import PotentialSpec, f_eps_prime, validate_eps
 from .transport import (
     DensityField,
     StepRecord,
-    VelocityHistory,
     compose_displacement,
     density_from_displacement,
     trace_points,
@@ -153,6 +157,16 @@ def stability_bound(problem: Problem) -> float:
     return min(visc, four)
 
 
+def check_dt(problem: Problem, cfg: StepperConfig, h: float):
+    """Refuse a step h above stability_safety times the stability bound,
+    unless the configuration allows unstable steps."""
+    bound = stability_bound(problem)
+    if h > cfg.stability_safety * bound + 1e-15 and not cfg.allow_unstable_dt:
+        raise StabilityError(
+            f"dt={h} exceeds stability_safety*bound={cfg.stability_safety * bound:.6g}"
+        )
+
+
 # --- linear solves -----------------------------------------------------------
 
 def _norm(a) -> float:
@@ -165,7 +179,10 @@ def _cg(apply_a, b, x0, rtol, label):
     The iteration runs on b and x0 divided by max|b| rounded up to a
     power of two, so no inner product overflows or underflows. The
     scaling is exact: where the unscaled solve stays finite, its iterates
-    are these scaled back. x, r and p are updated in place.
+    are these scaled back. x, r and p are updated in place. A solve
+    returns only on the true residual b - A x: when the updated residual
+    meets rtol and the true one does not, CG restarts from the true one
+    within the same iteration budget.
     """
     bmax = float(np.max(np.abs(b)))
     if not np.isfinite(bmax):
@@ -205,7 +222,14 @@ def _cg(apply_a, b, x0, rtol, label):
         r -= alpha * ap
         rs_new = np.vdot(r, r).real
         if np.sqrt(rs_new) <= rtol * bnorm:
-            return x / inv
+            # the updated residual drifts from b - A x by rounding: x
+            # stands only on the true one, else CG restarts from it
+            r = b - apply_a(x)
+            rs = np.vdot(r, r).real
+            if np.sqrt(rs) <= rtol * bnorm:
+                return x / inv
+            p = r.copy()
+            continue
         p *= rs_new / rs
         p += r
         rs = rs_new
@@ -258,26 +282,27 @@ def solve_mu(grid: TorusGrid, phi, rho: DensityField, model: AnisotropyModel,
 
 # --- right-hand sides --------------------------------------------------------
 
-def _assemble(grid, rho_vals, u, phi, mu, adv_u, trans_phi, law_phi, cap_phi,
-              laws, spec, n_modes_u, n_modes_phi, rtol, mu_start=None):
-    """Shared weak-form assembly. The four field slots distinguish the
-    self-consistent system (all equal to the current state) from the
-    linearized one (advection velocity, transported gradient, material
-    coefficients, and capillary gradient frozen)."""
+def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi, rtol):
+    """Shared weak-form assembly. frozen is None for the self-consistent
+    system, or the pair (u~, phi~) that sets the advection velocity, the
+    transported and capillary gradients and the material coefficients
+    of the linearized one."""
+    rho_vals, u, phi = state.rho.values, state.u, state.phi
     ug = grid.to_grid(u)
-    advg = ug if adv_u is u else grid.to_grid(adv_u)
     phig = grid.to_grid(phi)
-    lawg = phig if law_phi is phi else grid.to_grid(law_phi)
-    mug = grid.to_grid(mu)
+    gphi_vals = grid.to_grid(grid.grad(phi))
+    if frozen is None:
+        advg, lawg, gfrozen_vals = ug, phig, gphi_vals
+    else:
+        advg = grid.to_grid(frozen[0])
+        lawg = grid.to_grid(frozen[1])
+        gfrozen_vals = grid.to_grid(grid.grad(frozen[1]))
+    mug = grid.to_grid(state.mu)
     nu = laws.nu(lawg)
     dd = laws.mobility(lawg)
 
     # velocity gradients d_j u_i on the grid, as du[i, j]
     du = grid.to_grid(np.stack([grid.grad(u[0]), grid.grad(u[1])]))
-
-    gphi_cur = grid.grad(phi)
-    gphi_cur_vals = grid.to_grid(gphi_cur)
-    gcap_vals = gphi_cur_vals if cap_phi is phi else grid.to_grid(grid.grad(cap_phi))
 
     fpr = f_eps_prime(spec, phig)
     b_u = np.empty((2,) + grid.n_grid, dtype=complex)
@@ -287,7 +312,7 @@ def _assemble(grid, rho_vals, u, phi, mu, adv_u, trans_phi, law_phi, cap_phi,
         s_i0 = nu * (du[i, 0] + du[0, i])
         s_i1 = nu * (du[i, 1] + du[1, i])
         stress_div = grid.div(grid.to_spectral(np.stack([s_i0, s_i1])))
-        force = rho_vals * (mug * gcap_vals[i] - fpr * gphi_cur_vals[i])
+        force = rho_vals * (mug * gfrozen_vals[i] - fpr * gphi_vals[i])
         b_u[i] = -grid.to_spectral(conv) + stress_div + grid.to_spectral(force)
     b_u = grid.leray_project(b_u)
     if n_modes_u is not None:
@@ -302,9 +327,8 @@ def _assemble(grid, rho_vals, u, phi, mu, adv_u, trans_phi, law_phi, cap_phi,
         "velocity",
     )
 
-    gtrans_vals = gphi_cur_vals if trans_phi is phi else grid.to_grid(grid.grad(trans_phi))
-    gmu_vals = grid.to_grid(grid.grad(mu))
-    conv_phi = rho_vals * (ug[0] * gtrans_vals[0] + ug[1] * gtrans_vals[1])
+    gmu_vals = grid.to_grid(grid.grad(state.mu))
+    conv_phi = rho_vals * (ug[0] * gfrozen_vals[0] + ug[1] * gfrozen_vals[1])
     flux = grid.div(grid.to_spectral(dd * gmu_vals))
     b_phi = -grid.to_spectral(conv_phi) + flux
     if n_modes_phi is not None:
@@ -318,11 +342,7 @@ def rhs(grid: TorusGrid, state: FlowState, laws: MaterialLaws,
         model: AnisotropyModel, spec: PotentialSpec, *, n_modes_u=None,
         n_modes_phi=None, rtol=DEFAULT_RTOL):
     """Self-consistent Galerkin time derivatives (du/dt, dphi/dt)."""
-    return _assemble(
-        grid, state.rho.values, state.u, state.phi, state.mu,
-        state.u, state.phi, state.phi, state.phi,
-        laws, spec, n_modes_u, n_modes_phi, rtol,
-    )
+    return _assemble(grid, state, None, laws, spec, n_modes_u, n_modes_phi, rtol)
 
 
 def linearized_rhs(grid: TorusGrid, state: FlowState, frozen_u, frozen_phi,
@@ -332,26 +352,11 @@ def linearized_rhs(grid: TorusGrid, state: FlowState, frozen_u, frozen_phi,
     """Time derivatives with advection velocity, transported gradient,
     material coefficients and capillary gradient frozen at (u~, phi~);
     the potential gradient keeps the current phi."""
-    return _assemble(
-        grid, state.rho.values, state.u, state.phi, state.mu,
-        frozen_u, frozen_phi, frozen_phi, frozen_phi,
-        laws, spec, n_modes_u, n_modes_phi, rtol,
-    )
+    return _assemble(grid, state, (frozen_u, frozen_phi), laws, spec,
+                     n_modes_u, n_modes_phi, rtol)
 
 
 # --- time stepping -----------------------------------------------------------
-
-class _IntervalModel:
-    """Single-step velocity model adapter for characteristic tracing."""
-
-    def __init__(self, grid, record):
-        self.grid = grid
-        self.record = record
-        self.segment_boundaries = np.array([record.t_start, record.t_end])
-
-    def coef_at(self, tau):
-        return self.record.coef_at(tau)
-
 
 _BLOWUP_CAP = 1e130
 
@@ -362,88 +367,82 @@ def _check_finite(t, name, arr):
         raise BlowUpError(t, name)
 
 
-def step(problem: Problem, state: FlowState, cfg: StepperConfig, *,
-         dt=None, deriv0=None):
-    """One two-pass RK4 step. Returns (new_state, velocity record,
-    end-of-step derivatives) so callers can chain without re-evaluating."""
+def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRecord,
+             slope, mu_seed, n_modes_phi) -> FlowState:
+    """One classical RK4 step of (u, phi) from state over [t, t + h].
+
+    k1 is the derivative pair (du/dt, dphi/dt) at state; slope(FlowState)
+    gives it at the other stages. The stage densities at t + h/2 and
+    t + h ride the characteristics of the velocity record, traced back to
+    t and composed with the state's displacement. Each stage's potential
+    solve starts from the previous stage's potential, the first from
+    mu_seed. Returns the end-of-step state with its potential solved
+    afresh; raises BlowUpError on a non-finite stage or end state.
+    """
     g = problem.grid
-    laws, model, spec = problem.laws, problem.model, problem.spec
-    h = cfg.dt if dt is None else dt
-    bound = stability_bound(problem)
-    if h > cfg.stability_safety * bound + 1e-15 and not cfg.allow_unstable_dt:
-        raise StabilityError(
-            f"dt={h} exceeds stability_safety*bound={cfg.stability_safety * bound:.6g}"
-        )
-    nmu, nmp = cfg.n_modes_u, cfg.n_modes_phi
     t = state.t
-    _check_finite(t, "velocity", state.u)
-    _check_finite(t, "order_parameter", state.phi)
     pts = np.stack(g.mesh, axis=-1).reshape(-1, 2)
 
-    def stage_density(record, tau):
-        feet = trace_points(_IntervalModel(g, record), pts, tau, t)
+    def transported(tau):
+        feet = trace_points(g, velocity, pts, tau, t)
         disp = compose_displacement(g, state.disp, feet)
         return density_from_displacement(problem.rho0, g, disp), disp
 
-    def f(tau, u_c, phi_c, rho_f, mu_start):
+    rho_half, _ = transported(t + h / 2)
+    rho_full, disp = transported(t + h)
+
+    def stage(tau, u_c, phi_c, rho_c, mu_start):
         _check_finite(tau, "velocity", u_c)
         _check_finite(tau, "order_parameter", phi_c)
-        mu_c = solve_mu(g, phi_c, rho_f, model, spec, n_modes=nmp, x0=mu_start)
-        st = FlowState(tau, u_c, phi_c, rho_f, mu_c)
-        du, dphi = rhs(g, st, laws, model, spec, n_modes_u=nmu, n_modes_phi=nmp)
-        return du, dphi, mu_c
+        mu_c = solve_mu(g, phi_c, rho_c, problem.model, problem.spec,
+                        n_modes=n_modes_phi, x0=mu_start)
+        return FlowState(tau, u_c, phi_c, rho_c, mu_c)
+
+    _check_finite(t, "velocity", state.u)
+    _check_finite(t, "order_parameter", state.phi)
+    du1, dphi1 = k1
+    s2 = stage(t + h / 2, state.u + (h / 2) * du1, state.phi + (h / 2) * dphi1, rho_half, mu_seed)
+    du2, dphi2 = slope(s2)
+    s3 = stage(t + h / 2, state.u + (h / 2) * du2, state.phi + (h / 2) * dphi2, rho_half, s2.mu)
+    du3, dphi3 = slope(s3)
+    s4 = stage(t + h, state.u + h * du3, state.phi + h * dphi3, rho_full, s3.mu)
+    du4, dphi4 = slope(s4)
+    u_new = state.u + (h / 6) * (du1 + 2 * du2 + 2 * du3 + du4)
+    phi_new = state.phi + (h / 6) * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
+    end = stage(t + h, u_new, phi_new, rho_full, s4.mu)
+    _check_finite(t + h, "chemical_potential", end.mu)
+    return FlowState(t + h, u_new, phi_new, rho_full, end.mu, disp)
+
+
+def step(problem: Problem, state: FlowState, cfg: StepperConfig, *,
+         dt=None, deriv0=None):
+    """One two-pass RK4 step. Returns (new_state, end-of-step
+    derivatives) so callers can chain without re-evaluating."""
+    h = cfg.dt if dt is None else dt
+    check_dt(problem, cfg, h)
+    nmp = cfg.n_modes_phi
+
+    def slope(st):
+        return rhs(problem.grid, st, problem.laws, problem.model, problem.spec,
+                   n_modes_u=cfg.n_modes_u, n_modes_phi=nmp)
 
     # stage 1 shares the state's own (consistent) chemical potential
-    if deriv0 is not None:
-        du1, dphi1 = deriv0
-    else:
-        du1, dphi1 = rhs(g, state, laws, model, spec, n_modes_u=nmu, n_modes_phi=nmp)
-
-    def rk4_sweep(rho_half, rho_full, mu_seed):
-        mu_last = mu_seed
-        du2, dphi2, mu_last = f(
-            t + h / 2, state.u + (h / 2) * du1, state.phi + (h / 2) * dphi1, rho_half, mu_last
-        )
-        du3, dphi3, mu_last = f(
-            t + h / 2, state.u + (h / 2) * du2, state.phi + (h / 2) * dphi2, rho_half, mu_last
-        )
-        du4, dphi4, mu_last = f(
-            t + h, state.u + h * du3, state.phi + h * dphi3, rho_full, mu_last
-        )
-        u_new = state.u + (h / 6) * (du1 + 2 * du2 + 2 * du3 + du4)
-        phi_new = state.phi + (h / 6) * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
-        return u_new, phi_new, mu_last
+    k1 = deriv0 if deriv0 is not None else slope(state)
 
     # pass 0: predictor with a linear velocity model
     zeros = np.zeros_like(state.u)
-    lin = StepRecord(t, h, np.stack([state.u, h * du1, zeros, zeros]))
-    rho_h0, _ = stage_density(lin, t + h / 2)
-    rho_10, _ = stage_density(lin, t + h)
-    u_p, phi_p, mu_last = rk4_sweep(rho_h0, rho_10, state.mu)
-    mu_p = solve_mu(g, phi_p, rho_10, model, spec, n_modes=nmp, x0=mu_last)
-    st_p = FlowState(t + h, u_p, phi_p, rho_10, mu_p)
-    du_p, _ = rhs(g, st_p, laws, model, spec, n_modes_u=nmu, n_modes_phi=nmp)
+    linear = StepRecord(state.t, h, np.stack([state.u, h * k1[0], zeros, zeros]))
+    pred = rk4_step(problem, state, h, k1, linear, slope, state.mu, nmp)
 
     # pass 1: corrector with the cubic velocity model
-    cubic = StepRecord.hermite(t, h, state.u, du1, u_p, du_p)
-    rho_h1, _ = stage_density(cubic, t + h / 2)
-    rho_11, disp_new = stage_density(cubic, t + h)
-    u_new, phi_new, mu_last = rk4_sweep(rho_h1, rho_11, mu_p)
-    _check_finite(t + h, "velocity", u_new)
-    _check_finite(t + h, "order_parameter", phi_new)
-
-    mu_new = solve_mu(g, phi_new, rho_11, model, spec, n_modes=nmp, x0=mu_last)
-    _check_finite(t + h, "chemical_potential", mu_new)
-    new_state = FlowState(t + h, u_new, phi_new, rho_11, mu_new, disp_new)
-    du_f, dphi_f = rhs(g, new_state, laws, model, spec, n_modes_u=nmu, n_modes_phi=nmp)
-    record = StepRecord.hermite(t, h, state.u, du1, u_new, du_f)
-    return new_state, record, (du_f, dphi_f)
+    cubic = StepRecord.hermite(state.t, h, state.u, k1[0], pred.u, slope(pred)[0])
+    new_state = rk4_step(problem, state, h, k1, cubic, slope, pred.mu, nmp)
+    return new_state, slope(new_state)
 
 
 @dataclass
 class RunSummary:
     final_state: FlowState
-    history: VelocityHistory
     n_steps: int
 
 
@@ -454,7 +453,6 @@ def run(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     if cadence < 1:
         raise DomainError("cadence must be >= 1")
     state = problem.initial_state(u0_grid, phi0_grid, cfg)
-    history = VelocityHistory(problem.grid, 0.0)
     for sink in sinks:
         sink(state)
     deriv = None
@@ -462,10 +460,9 @@ def run(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     t_end = cfg.t_end
     while state.t < t_end - 1e-12 * max(1.0, t_end):
         h = min(cfg.dt, t_end - state.t)
-        state, record, deriv = step(problem, state, cfg, dt=h, deriv0=deriv)
-        history.append(record)
+        state, deriv = step(problem, state, cfg, dt=h, deriv0=deriv)
         n += 1
         if n % cadence == 0 or state.t >= t_end - 1e-12 * max(1.0, t_end):
             for sink in sinks:
                 sink(state)
-    return RunSummary(state, history, n)
+    return RunSummary(state, n)

@@ -42,10 +42,6 @@ class StabilityError(AchnsError):
     """Requested time step exceeds the advertised stability bound."""
 
 
-class HistoryGapError(AchnsError):
-    """Velocity history does not cover the requested time interval."""
-
-
 class HorizonError(AchnsError):
     """Time argument at or beyond the guaranteed-finite horizon."""
 

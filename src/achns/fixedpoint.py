@@ -22,14 +22,17 @@ from .dynamics import (
     FlowState,
     Problem,
     StepperConfig,
-    _IntervalModel,
+    check_dt,
     linearized_rhs,
-    solve_mu,
-    stability_bound,
+    rk4_step,
 )
-from .errors import DimensionError, DomainError, StabilityError
+from .errors import DimensionError, DomainError
 from .potential import PotentialSpec, f_eps
-from .transport import StepRecord, compose_displacement, density_from_displacement, trace_points
+from .transport import StepRecord
+
+# unused here, but perfbench's layer trace patches these names on this module
+from .dynamics import solve_mu  # noqa: F401
+from .transport import compose_displacement, density_from_displacement, trace_points  # noqa: F401
 
 #: absolute ceiling on |k . u_k| for a velocity sample to count as solenoidal
 DIV_FREE_TOL = 1e-10
@@ -71,7 +74,6 @@ class FrozenPair:
                 raise DomainError(
                     f"frozen velocity sample {k} is not divergence-free (max |k.u|={div:.3g})"
                 )
-        object.__setattr__(self, "_records", {})
 
     @property
     def n_samples(self):
@@ -91,14 +93,12 @@ class FrozenPair:
 
     def records(self, k: int):
         """Cubic interval models (velocity, order parameter) for step k."""
-        if k not in self._records:
-            t_k = self.t0 + k * self.dt
-            urec = StepRecord.hermite(t_k, self.dt, self.u[k], self.du[k],
-                                      self.u[k + 1], self.du[k + 1])
-            prec = StepRecord.hermite(t_k, self.dt, self.phi[k], self.dphi[k],
-                                      self.phi[k + 1], self.dphi[k + 1])
-            self._records[k] = (urec, prec)
-        return self._records[k]
+        t_k = self.t0 + k * self.dt
+        urec = StepRecord.hermite(t_k, self.dt, self.u[k], self.du[k],
+                                  self.u[k + 1], self.du[k + 1])
+        prec = StepRecord.hermite(t_k, self.dt, self.phi[k], self.dphi[k],
+                                  self.phi[k + 1], self.dphi[k + 1])
+        return urec, prec
 
 
 def constant_pair(grid: TorusGrid, u, phi, t0: float, dt: float, n_steps: int) -> FrozenPair:
@@ -137,63 +137,35 @@ def lambda_map(problem: Problem, frozen: FrozenPair, u0_grid, phi0_grid,
         raise DomainError("frozen-pair cadence must match the stepper dt")
     if frozen.t0 != 0.0:
         raise DomainError("frozen pair must start at t=0")
-    bound = stability_bound(problem)
-    if cfg.dt > cfg.stability_safety * bound + 1e-15 and not cfg.allow_unstable_dt:
-        raise StabilityError(
-            f"dt={cfg.dt} exceeds stability_safety*bound={cfg.stability_safety * bound:.6g}"
-        )
+    check_dt(problem, cfg, cfg.dt)
     g = problem.grid
-    laws, model, spec = problem.laws, problem.model, problem.spec
-    nmu, nmp = cfg.n_modes_u, cfg.n_modes_phi
     h = frozen.dt
     state = problem.initial_state(u0_grid, phi0_grid, cfg)
-    pts = np.stack(g.mesh, axis=-1).reshape(-1, 2)
 
-    def slope(st, k_sample):
+    def slope(st, u_tilde, phi_tilde):
         return linearized_rhs(
-            g, st, frozen.u[k_sample], frozen.phi[k_sample], laws, model, spec,
-            n_modes_u=nmu, n_modes_phi=nmp,
+            g, st, u_tilde, phi_tilde, problem.laws, problem.model, problem.spec,
+            n_modes_u=cfg.n_modes_u, n_modes_phi=cfg.n_modes_phi,
         )
 
-    du0, dphi0 = slope(state, 0)
-    us, dus = [state.u], [du0]
-    phis, dphis = [state.phi], [dphi0]
+    k1 = slope(state, frozen.u[0], frozen.phi[0])
+    us, dus = [state.u], [k1[0]]
+    phis, dphis = [state.phi], [k1[1]]
     states = [state]
     for k in range(frozen.n_steps):
         urec, prec = frozen.records(k)
-        t = state.t
-        adapter = _IntervalModel(g, urec)
-
-        def stage_rho(tau):
-            feet = trace_points(adapter, pts, tau, t)
-            disp = compose_displacement(g, state.disp, feet)
-            return density_from_displacement(problem.rho0, g, disp), disp
-
-        rho_h, _ = stage_rho(t + h / 2)
-        rho_1, disp_new = stage_rho(t + h)
-
-        def f(tau, u_c, phi_c, rho_f, mu_start):
-            mu_c = solve_mu(g, phi_c, rho_f, model, spec, n_modes=nmp, x0=mu_start)
-            st = FlowState(tau, u_c, phi_c, rho_f, mu_c)
-            duu, dpp = linearized_rhs(
-                g, st, urec.coef_at(tau), prec.coef_at(tau), laws, model, spec,
-                n_modes_u=nmu, n_modes_phi=nmp,
-            )
-            return duu, dpp, mu_c
-
-        k1u, k1p = dus[-1], dphis[-1]
-        k2u, k2p, mu_l = f(t + h / 2, state.u + (h / 2) * k1u, state.phi + (h / 2) * k1p, rho_h, state.mu)
-        k3u, k3p, mu_l = f(t + h / 2, state.u + (h / 2) * k2u, state.phi + (h / 2) * k2p, rho_h, mu_l)
-        k4u, k4p, mu_l = f(t + h, state.u + h * k3u, state.phi + h * k3p, rho_1, mu_l)
-        u_new = state.u + (h / 6) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        phi_new = state.phi + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        mu_new = solve_mu(g, phi_new, rho_1, model, spec, n_modes=nmp, x0=mu_l)
-        state = FlowState(t + h, u_new, phi_new, rho_1, mu_new, disp_new)
-        du_n, dphi_n = slope(state, k + 1)
-        us.append(u_new)
-        dus.append(du_n)
-        phis.append(phi_new)
-        dphis.append(dphi_n)
+        # the density rides the frozen velocity; the stages see the
+        # frozen pair's cubic models at their own times
+        state = rk4_step(
+            problem, state, h, k1, urec,
+            lambda st: slope(st, urec.coef_at(st.t), prec.coef_at(st.t)),
+            state.mu, cfg.n_modes_phi,
+        )
+        k1 = slope(state, frozen.u[k + 1], frozen.phi[k + 1])
+        us.append(state.u)
+        dus.append(k1[0])
+        phis.append(state.phi)
+        dphis.append(k1[1])
         states.append(state)
 
     pair = FrozenPair(g, 0.0, h, np.stack(us), np.stack(dus), np.stack(phis), np.stack(dphis))

@@ -9,8 +9,10 @@ from achns.dynamics import (
     Problem,
     StepperConfig,
     _cg,
+    _vector_mass_apply,
     linearized_rhs,
     rhs,
+    rk4_step,
     run,
     solve_mu,
     stability_bound,
@@ -28,7 +30,7 @@ from achns.profiles import (
     u_taylor_green,
     u_zero,
 )
-from achns.transport import density_from_displacement
+from achns.transport import StepRecord, density_from_displacement
 
 TWO_PI = 2 * np.pi
 BOX = (TWO_PI, TWO_PI)
@@ -157,6 +159,23 @@ def test_cg_raises_on_a_non_finite_right_hand_side(bad):
     b[1, 2] = bad
     with pytest.raises(SolverError, match="non-finite"):
         _cg(lambda x: x, b, np.zeros_like(b), 1e-13, "velocity")
+
+
+def test_cg_returns_only_on_the_true_residual():
+    # 1:1000 density blobs: on 4 of these 30 right-hand sides the updated
+    # residual reaches rtol while b - A x is still 1.03-1.12e-13 of b, so
+    # a stop on the updated residual alone misses rtol
+    g = TorusGrid(BOX, (16, 16))
+    x1, x2 = g.mesh
+    bump = np.exp(-((x1 - np.pi) ** 2 + (x2 - np.pi) ** 2) / 0.8)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        rho = 1.0 + 999 * rng.uniform(0.5, 1.0) * bump
+        b = g.leray_project(g.to_spectral(rng.standard_normal((2, 16, 16))))
+        apply_a = _vector_mass_apply(g, rho, None)
+        x = _cg(apply_a, b, b / rho.mean(), 1e-13, "velocity")
+        r = b - apply_a(x)
+        assert np.sqrt(np.vdot(r, r).real) <= 1e-13 * np.sqrt(np.vdot(b, b).real), seed
 
 
 # --- chemical potential solves ------------------------------------------------
@@ -469,12 +488,61 @@ def test_step_equilibrium_fixed_point():
     g = prob.grid
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     state = make_state(prob, u_zero(g), phi_constant(g, 0.25), cfg)
-    new, record, _ = step(prob, state, cfg)
+    new, _ = step(prob, state, cfg)
     assert np.max(np.abs(new.u)) < 1e-14
     assert np.max(np.abs(new.phi - state.phi)) < 1e-14
     assert np.array_equal(new.rho.values, state.rho.values)
     assert np.max(np.abs(new.mu - state.mu)) < 1e-11
-    assert record.t_end == pytest.approx(1e-3)
+
+
+def test_rk4_step_stages_and_end_state():
+    prob = make_problem(n=8)
+    g = prob.grid
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    state = make_state(prob, u_zero(g), phi_band_random(g, seed=3, kmax=2, amplitude=0.3), cfg)
+    state = FlowState(0.5, state.u, state.phi, state.rho, state.mu)
+    h = 1e-3
+    rng = np.random.default_rng(4)
+    c_u = g.leray_project(g.to_spectral(rng.standard_normal((2, 8, 8))))
+    c_phi = g.to_spectral(rng.standard_normal((8, 8)))
+    seen = []
+
+    def slope(st):
+        seen.append(st)
+        return c_u, c_phi
+
+    still = StepRecord(0.5, h, np.zeros((4,) + state.u.shape, dtype=complex))
+    new = rk4_step(prob, state, h, (c_u, c_phi), still, slope, state.mu, None)
+    assert [st.t for st in seen] == [0.5 + h / 2, 0.5 + h / 2, 0.5 + h]
+    # a resting velocity model leaves the density where it was
+    for st in seen + [new]:
+        np.testing.assert_array_equal(st.rho.values, state.rho.values)
+    np.testing.assert_array_equal(new.disp, 0.0)
+    # a constant slope is integrated exactly, up to rounding
+    assert new.t == 0.5 + h
+    assert np.max(np.abs(new.u - (state.u + h * c_u))) < 1e-15
+    assert np.max(np.abs(new.phi - (state.phi + h * c_phi))) < 1e-15
+    # the stage potentials and the end one are solved for their own phi
+    for st in seen[1:] + [new]:
+        fresh = solve_mu(g, st.phi, st.rho, prob.model, prob.spec)
+        assert np.max(np.abs(fresh - st.mu)) <= 1e-9 * np.max(np.abs(fresh))
+
+
+def test_rk4_step_raises_on_a_non_finite_stage():
+    prob = make_problem(n=8)
+    g = prob.grid
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    state = make_state(prob, u_zero(g), phi_constant(g, 0.1), cfg)
+    still = StepRecord(0.0, 1e-3, np.zeros((4,) + state.u.shape, dtype=complex))
+    zero = (np.zeros_like(state.u), np.zeros_like(state.phi))
+
+    def slope(st):
+        return np.full_like(state.u, np.nan), zero[1]
+
+    with pytest.raises(BlowUpError) as exc:
+        rk4_step(prob, state, 1e-3, zero, still, slope, state.mu, None)
+    assert exc.value.field == "velocity"
+    assert exc.value.t == pytest.approx(5e-4)
 
 
 def test_step_stokes_decay_closed_form():
@@ -565,7 +633,6 @@ def test_step_divergence_free_and_mu_consistency():
     fresh = solve_mu(g, fin.phi, fin.rho, prob.model, prob.spec)
     rel = np.max(np.abs(fresh - fin.mu)) / np.max(np.abs(fresh))
     assert rel < 1e-9
-    assert out.history.t_end == pytest.approx(0.04)
 
 
 def test_step_stability_guard():
@@ -577,7 +644,7 @@ def test_step_stability_guard():
     with pytest.raises(StabilityError):
         step(prob, state, cfg)
     cfg_ok = StepperConfig(dt=1.2 * bound, t_end=1.2 * bound, allow_unstable_dt=True)
-    new, _, _ = step(prob, state, cfg_ok)
+    new, _ = step(prob, state, cfg_ok)
     assert np.all(np.isfinite(np.abs(new.u)))
 
 
@@ -660,9 +727,4 @@ def test_run_cadence_and_history():
     # initial, steps 2 and 4, and the final step 5
     assert [round(s.t / 4e-3) for s in seen] == [0, 2, 4, 5]
     assert out.n_steps == 5
-    # record endpoints reproduce the final velocity exactly
-    pts = np.stack(g.mesh, axis=-1).reshape(-1, 2)[:5]
-    vals = out.history.velocity_at(pts, out.history.t_end)
-    u_grid = np.stack([g.to_grid(out.final_state.u[0]), g.to_grid(out.final_state.u[1])])
-    expected = np.stack([u_grid[0].reshape(-1)[:5], u_grid[1].reshape(-1)[:5]], axis=1)
-    assert np.max(np.abs(vals - expected)) < 1e-10
+    assert seen[-1] is out.final_state

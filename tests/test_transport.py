@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from achns.basis import TorusGrid
-from achns.errors import DomainError, HistoryGapError
+from achns.errors import DomainError
 from achns.profiles import (
     ConstantDensity,
     SinusoidalDensity,
@@ -12,36 +12,48 @@ from achns.profiles import (
 from achns.transport import (
     DensityField,
     StepRecord,
-    VelocityHistory,
-    advect_density,
     compose_displacement,
     density_from_displacement,
     evaluate_displacement,
     mollify_initial_density,
-    trace_back,
     trace_points,
-    wrap_points,
 )
 
 L = (2 * np.pi, 2 * np.pi)
 GRID = TorusGrid(L, (32, 32))
 
 
-def steady_history(grid, u_grid, t0, t1, n_records=1):
-    """History holding a time-independent velocity field."""
-    coef = np.stack([grid.to_spectral(u_grid[0]), grid.to_spectral(u_grid[1])])
-    hist = VelocityHistory(grid, t0)
+def steady_records(grid, u_grid, t0, t1, n_records=1):
+    """Consecutive one-step records of a time-independent velocity field."""
+    coef = grid.to_spectral(u_grid)
+    z = np.zeros_like(coef)
     dt = (t1 - t0) / n_records
-    for i in range(n_records):
-        hist.append(StepRecord.steady(t0 + i * dt, dt, coef))
-    return hist
+    return [StepRecord(t0 + i * dt, dt, np.stack([coef, z, z, z])) for i in range(n_records)]
 
 
-def constant_velocity_history(grid, c, t0, t1):
+def constant_velocity_records(grid, c, t0, t1, n_records=1):
     u = np.zeros((2,) + grid.n_grid)
     u[0] += c[0]
     u[1] += c[1]
-    return steady_history(grid, u, t0, t1)
+    return steady_records(grid, u, t0, t1, n_records)
+
+
+def trace_chain(grid, records, pts, backward=True):
+    """Feet through consecutive records, one RK4 step in each: from the
+    end of the last record back to the start of the first, or forward."""
+    y = pts
+    for rec in (reversed(records) if backward else records):
+        t0, t1 = rec.t_start, rec.t_start + rec.dt
+        y = trace_points(grid, rec, y, t1, t0) if backward else trace_points(grid, rec, y, t0, t1)
+    return y
+
+
+def advected(rho0, grid, records):
+    """Density at the end of the records: the initial profile sampled at
+    the chained feet of the collocation points, clamped to its bounds."""
+    pts = grid_pts(grid)
+    feet = trace_chain(grid, records, pts)
+    return density_from_displacement(rho0, grid, (feet - pts).T.reshape((2,) + grid.n_grid))
 
 
 def grid_pts(grid):
@@ -49,63 +61,55 @@ def grid_pts(grid):
 
 
 def test_zero_velocity_traces_to_identity():
-    hist = constant_velocity_history(GRID, (0.0, 0.0), 0.0, 1.0)
+    rec = constant_velocity_records(GRID, (0.0, 0.0), 0.0, 1.0)[0]
     pts = grid_pts(GRID)
-    feet = trace_points(hist, pts, 1.0, 0.0, dt_char=0.1)
-    np.testing.assert_array_equal(feet, pts)
-    one = trace_back(hist, np.array([1.0, 2.0]), 1.0, 0.0, dt_char=0.1)
-    np.testing.assert_allclose(one, [1.0, 2.0], atol=1e-14)
+    np.testing.assert_array_equal(trace_points(GRID, rec, pts, 1.0, 0.0), pts)
+    np.testing.assert_array_equal(trace_points(GRID, rec, pts, 0.0, 1.0), pts)
 
 
 def test_constant_velocity_translates():
     c = (0.7, -0.3)
-    hist = constant_velocity_history(GRID, c, 0.0, 2.0)
-    x = np.array([0.5, 1.5])
-    foot = trace_points(hist, x, 2.0, 0.0, dt_char=0.25)
-    np.testing.assert_allclose(foot, [0.5 - 1.4, 1.5 + 0.6], atol=1e-12)
-    wrapped = trace_back(hist, x, 2.0, 0.0, dt_char=0.25)
-    np.testing.assert_allclose(wrapped, wrap_points(foot, L), atol=1e-12)
-
-
-def test_trace_back_validates_arguments():
-    hist = constant_velocity_history(GRID, (0.1, 0.0), 0.0, 1.0)
-    with pytest.raises(DomainError):
-        trace_back(hist, np.array([0.0, 0.0]), 0.5, 0.9, dt_char=0.1)
-    with pytest.raises(DomainError):
-        trace_back(hist, np.array([0.0, 0.0]), 1.0, 0.0, dt_char=0.0)
-    with pytest.raises(HistoryGapError):
-        trace_back(hist, np.array([0.0, 0.0]), 1.5, 0.0, dt_char=0.1)
-
-
-def test_history_contiguity_and_gap_errors():
-    hist = VelocityHistory(GRID, 0.0)
-    coef = np.zeros((2,) + GRID.n_grid, dtype=complex)
-    hist.append(StepRecord.steady(0.0, 0.5, coef))
-    with pytest.raises(HistoryGapError):
-        hist.append(StepRecord.steady(0.7, 0.5, coef))
-    hist.append(StepRecord.steady(0.5, 0.5, coef))
-    assert hist.t_end == 1.0
-    with pytest.raises(HistoryGapError):
-        hist.coef_at(1.2)
+    x = np.array([[0.5, 1.5]])
+    rec = constant_velocity_records(GRID, c, 0.0, 2.0)[0]
+    np.testing.assert_allclose(trace_points(GRID, rec, x, 2.0, 0.0),
+                               [[0.5 - 1.4, 1.5 + 0.6]], atol=1e-12)
+    # feet are unwrapped, and a chain of records adds the shifts
+    chained = trace_chain(GRID, constant_velocity_records(GRID, c, 0.0, 2.0, 8), x)
+    np.testing.assert_allclose(chained, [[0.5 - 1.4, 1.5 + 0.6]], atol=1e-12)
 
 
 def test_self_convergence_of_foot_accuracy():
-    # swirling cellular field; refine the substep 10x and compare
+    # swirling cellular field; refine the chain 10x and compare
     u = u_taylor_green(GRID, 0.8)
-    hist = steady_history(GRID, u, 0.0, 0.5)
     pts = grid_pts(GRID)[::7]
-    coarse = trace_points(hist, pts, 0.5, 0.0, dt_char=0.05)
-    fine = trace_points(hist, pts, 0.5, 0.0, dt_char=0.005)
+    coarse = trace_chain(GRID, steady_records(GRID, u, 0.0, 0.5, 10), pts)
+    fine = trace_chain(GRID, steady_records(GRID, u, 0.0, 0.5, 100), pts)
     assert np.abs(coarse - fine).max() < 1e-8
 
 
 def test_reversibility():
     u = u_random_solenoidal(GRID, seed=11, kmax=3, amplitude=0.5)
-    hist = steady_history(GRID, u, 0.0, 1.0, n_records=4)
+    records = steady_records(GRID, u, 0.0, 1.0, n_records=50)
     pts = grid_pts(GRID)[::13]
-    back = trace_points(hist, pts, 1.0, 0.0, dt_char=0.02)
-    forth = trace_points(hist, back, 0.0, 1.0, dt_char=0.02)
+    back = trace_chain(GRID, records, pts)
+    forth = trace_chain(GRID, records, back, backward=False)
     assert np.abs(forth - pts).max() < 1e-8
+
+
+def test_trace_follows_a_time_dependent_record():
+    # u(x, tau) = (1 + tau^3) c: the foot is x - c (dt + dt^4 / 4), which
+    # one RK4 step of the cubic model integrates exactly
+    c = np.array([0.3, -0.2])
+    u = np.zeros((2,) + GRID.n_grid)
+    u[0] += c[0]
+    u[1] += c[1]
+    coef = GRID.to_spectral(u)
+    z = np.zeros_like(coef)
+    dt = 0.5
+    rec = StepRecord(0.0, dt, np.stack([coef, z, z, dt**3 * coef]))
+    x = grid_pts(GRID)[:9]
+    foot = trace_points(GRID, rec, x, dt, 0.0)
+    np.testing.assert_allclose(foot, x - c * (dt + dt**4 / 4), atol=1e-13)
 
 
 def test_hermite_record_endpoint_identities():
@@ -116,7 +120,6 @@ def test_hermite_record_endpoint_identities():
     rec = StepRecord.hermite(2.0, 0.25, y0, dy0, y1, dy1)
     np.testing.assert_allclose(rec.coef_at(2.0), y0, atol=1e-14)
     np.testing.assert_allclose(rec.coef_at(2.25), y1, atol=1e-13)
-    np.testing.assert_allclose(rec.value_end(), y1, atol=1e-13)
     # endpoint slopes of the cubic in tau: c1/dt and (c1+2c2+3c3)/dt
     c = rec.coefs
     np.testing.assert_allclose(c[1] / 0.25, dy0, atol=1e-13)
@@ -126,24 +129,21 @@ def test_hermite_record_endpoint_identities():
 def test_advect_constant_density():
     rho0 = ConstantDensity(1.3)
     u = u_random_solenoidal(GRID, seed=2, kmax=2, amplitude=0.6)
-    hist = steady_history(GRID, u, 0.0, 1.0, n_records=2)
-    field = advect_density(rho0, hist, 1.0, dt_char=0.05)
+    field = advected(rho0, GRID, steady_records(GRID, u, 0.0, 1.0, n_records=20))
     np.testing.assert_array_equal(field.values, 1.3)
     assert (field.lo, field.hi) == (1.3, 1.3)
 
 
 def test_advect_zero_velocity_is_exact():
     rho0 = SinusoidalDensity(1.5, 0.5, L, k1=1, k2=1)
-    hist = constant_velocity_history(GRID, (0.0, 0.0), 0.0, 1.0)
-    field = advect_density(rho0, hist, 1.0, dt_char=0.1)
+    field = advected(rho0, GRID, constant_velocity_records(GRID, (0.0, 0.0), 0.0, 1.0, 10))
     np.testing.assert_allclose(field.values, rho0(np.stack(GRID.mesh, -1)), atol=1e-14)
 
 
 def test_advect_constant_velocity_translation():
     rho0 = SinusoidalDensity(1.5, 0.5, L, k1=1, k2=0)
     c = (0.4, 0.0)
-    hist = constant_velocity_history(GRID, c, 0.0, 0.8)
-    field = advect_density(rho0, hist, 0.8, dt_char=0.05)
+    field = advected(rho0, GRID, constant_velocity_records(GRID, c, 0.0, 0.8, 16))
     x, y = GRID.mesh
     exact = 1.5 + 0.5 * np.sin(x - 0.4 * 0.8)
     np.testing.assert_allclose(field.values, exact, atol=1e-10)
@@ -152,9 +152,8 @@ def test_advect_constant_velocity_translation():
 def test_maximum_principle_is_structural():
     rho0 = SinusoidalDensity(1.5, 0.5, L, k1=1, k2=1)
     u = u_random_solenoidal(GRID, seed=9, kmax=4, amplitude=1.0)
-    hist = steady_history(GRID, u, 0.0, 1.0, n_records=5)
     for t in (0.2, 0.6, 1.0):
-        field = advect_density(rho0, hist, t, dt_char=0.02)
+        field = advected(rho0, GRID, steady_records(GRID, u, 0.0, t, round(t / 0.02)))
         assert field.values.min() >= 1.0
         assert field.values.max() <= 2.0
 
@@ -162,9 +161,8 @@ def test_maximum_principle_is_structural():
 def test_mass_conservation_under_solenoidal_flow():
     rho0 = SinusoidalDensity(1.5, 0.5, L, k1=1, k2=1)
     u = u_taylor_green(GRID, 0.5)
-    hist = steady_history(GRID, u, 0.0, 1.0, n_records=10)
-    m0 = GRID.quadrature(advect_density(rho0, hist, 0.0).values)
-    m1 = GRID.quadrature(advect_density(rho0, hist, 1.0, dt_char=0.02).values)
+    m0 = GRID.quadrature(density_from_displacement(rho0, GRID, None).values)
+    m1 = GRID.quadrature(advected(rho0, GRID, steady_records(GRID, u, 0.0, 1.0, 50)).values)
     assert abs(m1 - m0) / abs(m0) < 1e-6
 
 
@@ -198,29 +196,27 @@ def test_mollify_dispatch():
 def test_displacement_composition_matches_direct_trace():
     # velocity linear in time: exactly representable by the cubic model
     base = u_taylor_green(GRID, 0.4)
-    c0 = np.stack([GRID.to_spectral(base[0]), GRID.to_spectral(base[1])])
+    c0 = GRID.to_spectral(base)
     dt = 0.05
-    hist = VelocityHistory(GRID, 0.0)
-    for i in range(2):
-        t0 = i * dt
-        hist.append(
-            StepRecord.hermite(
-                t0, dt, c0 * (1 + 0.3 * t0), 0.3 * c0, c0 * (1 + 0.3 * (t0 + dt)), 0.3 * c0
-            )
+    records = [
+        StepRecord.hermite(
+            t0, dt, c0 * (1 + 0.3 * t0), 0.3 * c0, c0 * (1 + 0.3 * (t0 + dt)), 0.3 * c0
         )
+        for t0 in (0.0, dt)
+    ]
     pts = grid_pts(GRID)
-    direct = trace_points(hist, pts, 2 * dt, 0.0, dt_char=dt)
+    direct = trace_chain(GRID, records, pts)
 
     disp = None
-    for i in (1, 2):
-        feet = trace_points(hist, pts, i * dt, (i - 1) * dt, dt_char=dt)
+    for rec in records:
+        feet = trace_points(GRID, rec, pts, rec.t_start + dt, rec.t_start)
         disp = compose_displacement(GRID, disp, feet)
     composed = pts + np.moveaxis(disp, 0, -1).reshape(-1, 2)
     assert np.abs(composed - direct).max() < 1e-7
 
     rho0 = SinusoidalDensity(1.5, 0.5, L, k1=1, k2=1)
     via_disp = density_from_displacement(rho0, GRID, disp)
-    via_trace = advect_density(rho0, hist, 2 * dt, dt_char=dt)
+    via_trace = advected(rho0, GRID, records)
     np.testing.assert_allclose(via_disp.values, via_trace.values, atol=1e-7)
 
 
@@ -243,9 +239,9 @@ def test_stepper_evaluations_match_the_dense_sum(n, dt, monkeypatch):
     # dense trigonometric sum
     grid = TorusGrid(L, (n, n))
     u = u_random_solenoidal(grid, seed=5, kmax=6, amplitude=0.5)
-    hist = steady_history(grid, u, 0.0, dt)
+    rec = steady_records(grid, u, 0.0, dt)[0]
     pts = grid_pts(grid)
-    feet = trace_points(hist, pts, dt, 0.0)
+    feet = trace_points(grid, rec, pts, dt, 0.0)
     disp = compose_displacement(grid, None, feet)
     assert grid._plan(feet)[2] is not None
     vel = evaluate_displacement(grid, u, feet)
@@ -255,7 +251,7 @@ def test_stepper_evaluations_match_the_dense_sum(n, dt, monkeypatch):
         return self._eval_dense(np.asarray(coef), np.asarray(points, dtype=float))
 
     monkeypatch.setattr(TorusGrid, "eval_at", dense)
-    feet_dense = trace_points(hist, pts, dt, 0.0)
+    feet_dense = trace_points(grid, rec, pts, dt, 0.0)
     step = np.abs(feet_dense - pts).max()
     # the feet are absolute positions, so one ulp of a coordinate is the
     # floor under the gap; at 32^2 it exceeds 1e-13 * step
