@@ -8,6 +8,12 @@ Fields live in two equivalent representations:
   coefficients of ``f(x) = sum_k c_k exp(i k.x)`` in numpy FFT layout,
   nonzero only inside the retained (dealiased) band.
 
+Every coefficient array is that of a real field, so it is exactly
+Hermitian, ``c_-k == conj(c_k)`` bit for bit: ``to_spectral`` mirrors, and
+``grad``, ``div``, ``leray_project``, real linear combinations and
+truncations to ``valid_mode_counts`` keep the symmetry. ``to_grid`` and
+the Taylor path of ``eval_at`` read the half plane k2 >= 0 alone.
+
 The retained band keeps integer wavenumbers ``|k_i| <= K_i`` with
 ``K_i = (N_i - 1) // 3``, so the product of any two retained fields is
 representable on the grid without aliasing and pseudo-spectral products
@@ -22,7 +28,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 
 
 def _check_extent(n):
@@ -162,35 +168,11 @@ class TorusGrid:
         return out
 
     def to_grid(self, coef):
-        """Coefficients (..., N1, N2) -> real grid values.
-
-        The real part of the inverse transform is the inverse real
-        transform of the Hermitian part on the half plane k2 >= 0, so
-        any coefficients give what ``ifft2(coef * N1 N2).real`` would,
-        band-limited and Hermitian or not.
-        """
+        """Coefficients (..., N1, N2) of real fields -> grid values, by one
+        inverse real transform of their Hermitian half k2 = 0..N2/2."""
         coef = np.asarray(coef)
         self._check_grid_shape(coef)
-        half = self._hermitian_half(coef, self.n_grid[1] // 2 + 1)
-        return scipy.fft.irfft2(half, s=self.n_grid, norm="forward")
-
-    def _hermitian_half(self, coef, ncols):
-        """(c_k + conj c_-k) / 2 on the columns k2 = 0..ncols-1: the
-        coefficients of the real part of the field of c. The mirror
-        c_-k is built by reversing rows and columns."""
-        n2 = self.n_grid[1]
-        mirror = np.empty(coef.shape[:-1] + (ncols,), dtype=complex)
-        mirror[..., 0, 0] = coef[..., 0, 0]
-        mirror[..., 1:, 0] = coef[..., :0:-1, 0]
-        mirror[..., 0, 1:] = coef[..., 0, n2 - 1:n2 - ncols:-1]
-        mirror[..., 1:, 1:] = coef[..., :0:-1, n2 - 1:n2 - ncols:-1]
-        np.conj(mirror, out=mirror)
-        mirror += coef[..., :ncols]
-        mirror *= 0.5
-        return mirror
-
-    def mask(self, coef):
-        return coef * self.dealias_mask
+        return scipy.fft.irfft2(coef[..., :self.n_grid[1] // 2 + 1], s=self.n_grid, norm="forward")
 
     # --- calculus ---------------------------------------------------------
 
@@ -217,17 +199,39 @@ class TorusGrid:
         kdotu = self.k1 * vcoef[0] + self.k2 * vcoef[1]
         return vcoef - self._leray_factors * kdotu
 
+    @cached_property
+    def valid_mode_counts(self):
+        """Counts n whose prefix mode_order[:n] is closed under k -> -k (0
+        and the ends of whole |k|^2 shells): the truncations of real fields."""
+        n1, n2 = self.n_grid
+        i, j = np.divmod(self.mode_order, n2)
+        rank = np.empty(n1 * n2, dtype=int)
+        rank[self.mode_order] = np.arange(self.n_band_modes)
+        # a prefix of n modes is closed when the ranks of their -k are 0..n-1
+        reach = np.maximum.accumulate(rank[(-i) % n1 * n2 + (-j) % n2])
+        ends = np.flatnonzero(reach == np.arange(self.n_band_modes)) + 1
+        return frozenset([0, *ends.tolist()])
+
+    def check_mode_count(self, n_modes):
+        """DomainError unless n_modes is in valid_mode_counts, naming the
+        nearest valid counts below and above."""
+        if n_modes in self.valid_mode_counts:
+            return
+        if not 0 <= n_modes <= self.n_band_modes:
+            raise DomainError(f"n_modes must lie in [0, {self.n_band_modes}], got {n_modes}")
+        below = max(n for n in self.valid_mode_counts if n < n_modes)
+        above = min(n for n in self.valid_mode_counts if n > n_modes)
+        raise DomainError(f"n_modes={n_modes} keeps some k without -k; the nearest "
+                          f"valid counts are {below} and {above}")
+
     def project_scalar(self, coef, n_modes):
         """Keep the n_modes lowest-|k|^2 retained modes of a scalar field
         (N1, N2) or of each field of a stack (..., N1, N2).
 
         Ties in |k|^2 are broken lexicographically on (k1, k2), matching
-        the canonical mode order.
+        the canonical mode order. n_modes must be in valid_mode_counts.
         """
-        if not 0 <= n_modes <= self.n_band_modes:
-            raise DimensionError(
-                f"n_modes must lie in [0, {self.n_band_modes}], got {n_modes}"
-            )
+        self.check_mode_count(n_modes)
         flat = coef.reshape(coef.shape[:-2] + (-1,))
         out = np.zeros_like(flat)
         keep = self.mode_order[:n_modes]
@@ -322,14 +326,14 @@ class TorusGrid:
         """Taylor expansion of fields (m, N1, N2) about the nearest nodes:
         sum over a + b <= order of delta1^a delta2^b d1^a d2^b f / (a! b!).
 
-        The derivative fields come from the Hermitian part of the band
-        coefficients (whose field is the real part the dense sum
-        returns): one batched FFT along axis 0 per power a, then one
-        batched real inverse FFT along axis 1 per pair (a, b).
+        The derivative fields come from the band coefficients on the
+        columns k2 = 0..K2, which determine a real field: one batched FFT
+        along axis 0 per power a, then one batched real inverse FFT along
+        axis 1 per pair (a, b).
         """
         n1, n2 = self.n_grid
         kc2 = self.cutoff[1]
-        half = self._hermitian_half(stack * self.dealias_mask, kc2 + 1)
+        half = stack[..., :kc2 + 1] * self.dealias_mask[:, :kc2 + 1]
         powers = np.arange(order + 1)
         fact = np.cumprod(np.maximum(powers, 1)).astype(float)[:, None, None]
         sym1 = (1j * self.k1) ** powers[:, None, None] / fact              # (M+1, N1, 1)
@@ -345,9 +349,9 @@ class TorusGrid:
     def eval_at(self, coef, points):
         """Evaluate retained-band fields at arbitrary points.
 
-        coef is one field (N1, N2) or a stack (m, N1, N2); points has
-        shape (P, 2) and need not be wrapped into the box. Returns (P,)
-        or (m, P): the real part of sum_k c_k exp(i k.x) over the band.
+        coef is one real field (N1, N2) or a stack (m, N1, N2) of them;
+        points has shape (P, 2) and need not be wrapped into the box.
+        Returns (P,) or (m, P): sum_k c_k exp(i k.x) over the band.
 
         Each call takes whichever of two methods needs fewer operations
         for its grid and points (``_plan``):

@@ -15,7 +15,7 @@ import numpy as np
 from .anisotropy import AnisotropyModel, check_hypotheses, quadratic_form, taylor_cahn_matrix
 from .basis import TorusGrid
 from .dynamics import MaterialLaws, Problem, StepperConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .potential import PotentialSpec, eps_threshold, validate_eps
 from .profiles import (
     BlobDensity,
@@ -377,10 +377,8 @@ def parse_config(text: str) -> RunConfig:
     lengths = (view.get("domain", "l1"), view.get("domain", "l2"))
     n_grid = (view.get("domain", "n1"), view.get("domain", "n2"))
     try:
-        TorusGrid(lengths, n_grid)
-    except DomainError as exc:
-        raise ConfigError(str(exc), view.section_line("domain", 0)) from exc
-    except Exception as exc:  # dimension errors carry their own message
+        grid = TorusGrid(lengths, n_grid)
+    except (DimensionError, DomainError) as exc:
         raise ConfigError(str(exc), view.section_line("domain", 0)) from exc
 
     if view.has("anisotropy", "beta"):
@@ -441,6 +439,12 @@ def parse_config(text: str) -> RunConfig:
         )
     except DomainError as exc:
         raise ConfigError(str(exc), view.section_line("time", 0)) from exc
+    for key in ("n_modes_u", "n_modes_phi"):
+        if view.has("time", key):
+            try:
+                grid.check_mode_count(view.get("time", key))
+            except DomainError as exc:
+                raise ConfigError(f"{key}: {exc}", view.line("time", key)) from exc
 
     cadence = view.get("output", "cadence")
     if cadence < 1:

@@ -140,7 +140,6 @@ class EnergyCsvWriter:
         self.model = model
         self.spec = spec
         self.reports = []
-        self.residuals = []
         stream.write(",".join(self.COLUMNS) + "\n")
         stream.flush()
 
@@ -155,7 +154,6 @@ class EnergyCsvWriter:
         else:
             resid = 0.0
         self.reports.append(rep)
-        self.residuals.append(resid)
         row = (
             rep.t, rep.e_kin, rep.e_surf, rep.e_pot, rep.e_total,
             rep.d_visc, rep.d_diff, rep.mass_rho, rep.mass_rhophi,

@@ -204,10 +204,10 @@ def _cg(apply_a, b, x0, rtol, label):
         den = np.vdot(p, ap).real
         if den <= 0.0:
             # the mass operators are positive definite on their range, so
-            # zero curvature puts p in their null space: rounding of b
-            # (its anti-Hermitian or compressive part) that no x can
-            # match. x stands when the true residual meets rtol, or the
-            # part of it the operator sees does; else A is indefinite.
+            # zero curvature puts p in their null space: a part of b that
+            # no x can match, such as the rounding of a compressive part.
+            # x stands when the true residual meets rtol, or the part of
+            # it the operator sees does; else A is indefinite.
             r_true = b - apply_a(x)
             residual = _norm(r_true) / bnorm
             if residual <= rtol or _norm(apply_a(r_true)) <= rtol * _norm(apply_a(b)):
@@ -259,8 +259,7 @@ def _vector_mass_apply(grid, rho_vals, n_modes):
 
 
 def solve_mu(grid: TorusGrid, phi, rho: DensityField, model: AnisotropyModel,
-             spec: PotentialSpec, *, n_modes=None, rtol=DEFAULT_RTOL,
-             x0=None) -> np.ndarray:
+             spec: PotentialSpec, *, n_modes=None, x0=None) -> np.ndarray:
     """Chemical potential from the density-weighted Galerkin identity:
     (rho mu, w) = (aniso-flux(grad phi), grad w) + (rho F_eps'(phi), w)
     for every retained test mode w."""
@@ -277,12 +276,12 @@ def solve_mu(grid: TorusGrid, phi, rho: DensityField, model: AnisotropyModel,
     start = x0 if x0 is not None else b / rho_bar
     if n_modes is not None:
         start = grid.project_scalar(start, n_modes)
-    return _cg(_scalar_mass_apply(grid, rho_vals, n_modes), b, start, rtol, "potential")
+    return _cg(_scalar_mass_apply(grid, rho_vals, n_modes), b, start, DEFAULT_RTOL, "potential")
 
 
 # --- right-hand sides --------------------------------------------------------
 
-def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi, rtol):
+def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi):
     """Shared weak-form assembly. frozen is None for the self-consistent
     system, or the pair (u~, phi~) that sets the advection velocity, the
     transported and capillary gradients and the material coefficients
@@ -323,7 +322,7 @@ def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi, rtol):
         _vector_mass_apply(grid, rho_vals, n_modes_u),
         b_u,
         grid.leray_project(b_u / rho_bar),
-        rtol,
+        DEFAULT_RTOL,
         "velocity",
     )
 
@@ -334,26 +333,24 @@ def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi, rtol):
     if n_modes_phi is not None:
         b_phi = grid.project_scalar(b_phi, n_modes_phi)
     start = b_phi / rho_bar
-    dphidt = _cg(_scalar_mass_apply(grid, rho_vals, n_modes_phi), b_phi, start, rtol, "concentration")
+    dphidt = _cg(_scalar_mass_apply(grid, rho_vals, n_modes_phi), b_phi, start, DEFAULT_RTOL, "concentration")
     return dudt, dphidt
 
 
 def rhs(grid: TorusGrid, state: FlowState, laws: MaterialLaws,
-        model: AnisotropyModel, spec: PotentialSpec, *, n_modes_u=None,
-        n_modes_phi=None, rtol=DEFAULT_RTOL):
+        spec: PotentialSpec, *, n_modes_u=None, n_modes_phi=None):
     """Self-consistent Galerkin time derivatives (du/dt, dphi/dt)."""
-    return _assemble(grid, state, None, laws, spec, n_modes_u, n_modes_phi, rtol)
+    return _assemble(grid, state, None, laws, spec, n_modes_u, n_modes_phi)
 
 
 def linearized_rhs(grid: TorusGrid, state: FlowState, frozen_u, frozen_phi,
-                   laws: MaterialLaws, model: AnisotropyModel,
-                   spec: PotentialSpec, *, n_modes_u=None, n_modes_phi=None,
-                   rtol=DEFAULT_RTOL):
+                   laws: MaterialLaws, spec: PotentialSpec, *, n_modes_u=None,
+                   n_modes_phi=None):
     """Time derivatives with advection velocity, transported gradient,
     material coefficients and capillary gradient frozen at (u~, phi~);
     the potential gradient keeps the current phi."""
     return _assemble(grid, state, (frozen_u, frozen_phi), laws, spec,
-                     n_modes_u, n_modes_phi, rtol)
+                     n_modes_u, n_modes_phi)
 
 
 # --- time stepping -----------------------------------------------------------
@@ -423,7 +420,7 @@ def step(problem: Problem, state: FlowState, cfg: StepperConfig, *,
     nmp = cfg.n_modes_phi
 
     def slope(st):
-        return rhs(problem.grid, st, problem.laws, problem.model, problem.spec,
+        return rhs(problem.grid, st, problem.laws, problem.spec,
                    n_modes_u=cfg.n_modes_u, n_modes_phi=nmp)
 
     # stage 1 shares the state's own (consistent) chemical potential

@@ -144,7 +144,7 @@ def lambda_map(problem: Problem, frozen: FrozenPair, u0_grid, phi0_grid,
 
     def slope(st, u_tilde, phi_tilde):
         return linearized_rhs(
-            g, st, u_tilde, phi_tilde, problem.laws, problem.model, problem.spec,
+            g, st, u_tilde, phi_tilde, problem.laws, problem.spec,
             n_modes_u=cfg.n_modes_u, n_modes_phi=cfg.n_modes_phi,
         )
 

@@ -79,6 +79,9 @@ class SinusoidalDensity:
         return SinusoidalDensity(self.base, self.amplitude * damp, self.lengths, self.k1, self.k2)
 
 
+_BLOB_IMAGES = 4
+
+
 @dataclass(frozen=True)
 class BlobDensity:
     """Periodic Gaussian bump: base + amplitude * sum over images.
@@ -94,7 +97,6 @@ class BlobDensity:
     width: float
     center: tuple
     lengths: tuple
-    n_images: int = 4
 
     def __post_init__(self):
         if not self.base > 0:
@@ -105,7 +107,7 @@ class BlobDensity:
             raise DomainError("blob width must be positive")
 
     def _axis_sum(self, d, length):
-        js = np.arange(-self.n_images, self.n_images + 1)
+        js = np.arange(-_BLOB_IMAGES, _BLOB_IMAGES + 1)
         d = np.asarray(d, dtype=float)[..., None]
         return np.sum(np.exp(-((d - js * length) ** 2) / (2 * self.width**2)), axis=-1)
 
@@ -131,7 +133,6 @@ class BlobDensity:
             float(np.sqrt(w2)),
             self.center,
             self.lengths,
-            self.n_images,
         )
 
 

@@ -21,10 +21,11 @@ Layout (all little-endian):
 
 Coefficients are stored in the grid's canonical mode order (ascending
 squared wavenumber, lexicographic ties), so files written for the same
-grid are comparable mode by mode. A write -> read -> write cycle is
-byte-identical.
+grid are comparable mode by mode; the counts are among the grid's
+``valid_mode_counts``. A write -> read -> write cycle is byte-identical.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -67,6 +68,8 @@ def write_snapshot(target, grid: TorusGrid, state, *, n_modes_u=None, n_modes_ph
         raise DomainError(
             f"mode counts must lie in [1, {grid.n_band_modes}], got {nu}, {np_}"
         )
+    grid.check_mode_count(nu)
+    grid.check_mode_count(np_)
     header = _HEADER.pack(
         MAGIC, VERSION, grid.n_grid[0], grid.n_grid[1],
         grid.lengths[0], grid.lengths[1],
@@ -122,16 +125,17 @@ def read_snapshot(source) -> SnapshotData:
     )
 
 
-def embed_coefficients(grid: TorusGrid, coef, count=None):
+def embed_coefficients(grid: TorusGrid, coef):
     """Scatter canonical-order coefficients back to a full spectral array."""
     coef = np.asarray(coef, dtype=np.complex128)
-    n = coef.shape[-1] if count is None else int(count)
+    n = coef.shape[-1]
     if n > grid.n_band_modes:
         raise DomainError(
             f"snapshot holds {n} modes but the grid retains only {grid.n_band_modes}"
         )
+    grid.check_mode_count(n)
     full = np.zeros(grid.n_grid, dtype=np.complex128)
-    full.ravel()[grid.mode_order[:n]] = coef[..., :n]
+    full.ravel()[grid.mode_order[:n]] = coef
     return full
 
 
@@ -154,21 +158,12 @@ def restore_fields(snap: SnapshotData, grid: TorusGrid):
 class SnapshotSink:
     """Run callback that writes numbered snapshots into a directory."""
 
-    def __init__(self, directory, grid, *, n_modes_u=None, n_modes_phi=None,
-                 pattern="state_{:06d}.bin"):
+    def __init__(self, directory, grid):
         self.directory = directory
         self.grid = grid
-        self.n_modes_u = n_modes_u
-        self.n_modes_phi = n_modes_phi
-        self.pattern = pattern
         self.count = 0
-        self.paths = []
 
     def __call__(self, state):
-        import os
-
-        path = os.path.join(self.directory, self.pattern.format(self.count))
-        write_snapshot(path, self.grid, state,
-                       n_modes_u=self.n_modes_u, n_modes_phi=self.n_modes_phi)
+        path = os.path.join(self.directory, f"state_{self.count:06d}.bin")
+        write_snapshot(path, self.grid, state)
         self.count += 1
-        self.paths.append(path)

@@ -2,18 +2,29 @@ import numpy as np
 import pytest
 
 from achns.basis import TorusGrid
-from achns.errors import DimensionError
+from achns.errors import DimensionError, DomainError
 
 
 def make_grid(n=32, L=2 * np.pi):
     return TorusGrid((L, L), (n, n))
 
 
+def mirror(grid, coef):
+    """c_-k at k, for every field of a stack (..., N1, N2)."""
+    return coef[..., (-grid.k1_int)[:, None], (-grid.k2_int)[None, :]]
+
+
+def hermitian_part(grid, coef):
+    """(c_k + conj c_-k) / 2: the coefficients of the real part of the
+    field of c, exactly Hermitian."""
+    return (coef + np.conj(mirror(grid, coef))) / 2
+
+
 def random_band_field(grid, rng, scale=1.0):
     """Real grid field whose spectrum lies inside the retained band."""
     coef = rng.standard_normal(grid.n_grid) + 1j * rng.standard_normal(grid.n_grid)
     coef *= grid.dealias_mask
-    return grid.to_grid(coef) * scale
+    return grid.to_grid(hermitian_part(grid, coef)) * scale
 
 
 def test_grid_validation():
@@ -224,34 +235,48 @@ def test_to_spectral_matches_the_complex_transform(lengths, n_grid, lead):
     assert np.all(got[..., ~grid.dealias_mask] == 0)
 
 
+@pytest.mark.parametrize("band", [False, True])
 @pytest.mark.parametrize("lead", [(), (2,), (4,)])
 @pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
-def test_to_grid_matches_the_complex_transform_for_any_coefficients(lengths, n_grid, lead):
-    # full-plane coefficients of no real field: out-of-band entries, and
-    # k and -k unrelated, so only the real part of the inverse is defined
+def test_to_grid_matches_the_complex_transform_for_real_fields(lengths, n_grid, lead, band):
+    # exactly Hermitian coefficients, inside the band or over the whole
+    # plane with its Nyquist row and column
     rng = np.random.default_rng(n_grid[1] + len(lead))
     grid = TorusGrid(lengths, n_grid)
     coef = rng.standard_normal(lead + n_grid) + 1j * rng.standard_normal(lead + n_grid)
+    coef = hermitian_part(grid, coef * grid.dealias_mask if band else coef)
     want = np.fft.ifft2(coef * (n_grid[0] * n_grid[1])).real
     got = grid.to_grid(coef)
     assert got.shape == want.shape
     assert _relative_gap(got, want) <= 1e-15
 
 
-@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
-def test_to_grid_of_split_shells(lengths, n_grid):
-    # a Galerkin truncation that keeps part of a shell of |k|^2 keeps k
-    # without -k, in the column k2 = 0 or off it; stacked with a band
-    # field, each keeps its own real part
+@pytest.mark.parametrize("lengths, n_grid", [((2 * np.pi, 2 * np.pi), (16, 16)),
+                                             ((1.0, 1.0), (32, 32)),
+                                             ((2 * np.pi, 4 * np.pi), (16, 32))])
+def test_project_scalar_accepts_exactly_the_counts_closed_under_negation(lengths, n_grid):
+    # a truncation that keeps k without -k is no projection onto real
+    # fields: going through the grid moves its kept modes
     rng = np.random.default_rng(4)
     grid = TorusGrid(lengths, n_grid)
     band = grid.to_spectral(random_band_field(grid, rng))
-    for n_modes in range(2, 7):
-        split = grid.project_scalar(band, n_modes)
-        pair = np.stack([split, band])
-        want = np.fft.ifft2(pair * (n_grid[0] * n_grid[1])).real
-        assert _relative_gap(grid.to_grid(pair), want) <= 1e-15
-        assert _relative_gap(grid.to_grid(split), want[0]) <= 1e-15
+    modes = [tuple(m) for m in grid.mode_list.tolist()]
+    valid = [n for n in range(grid.n_band_modes + 1)
+             if {(-a, -b) for a, b in modes[:n]} == set(modes[:n])]
+    assert valid == sorted(grid.valid_mode_counts)
+    for n in range(grid.n_band_modes + 1):
+        if n in valid:
+            kept = grid.project_scalar(band, n)
+            again = grid.project_scalar(grid.to_spectral(grid.to_grid(kept)), n)
+            assert np.max(np.abs(again - kept)) <= 1e-15 * np.max(np.abs(kept))
+        else:
+            below = max(v for v in valid if v < n)
+            above = min(v for v in valid if v > n)
+            with pytest.raises(DomainError, match=f"nearest valid counts are {below} and {above}$"):
+                grid.project_scalar(band, n)
+    for n in (-1, grid.n_band_modes + 1):
+        with pytest.raises(DomainError, match="must lie in"):
+            grid.project_scalar(band, n)
 
 
 @pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
@@ -259,8 +284,7 @@ def test_to_spectral_is_exactly_hermitian(lengths, n_grid):
     rng = np.random.default_rng(6)
     grid = TorusGrid(lengths, n_grid)
     coef = grid.to_spectral(rng.standard_normal((2,) + n_grid))
-    mirror = coef[..., (-grid.k1_int)[:, None], (-grid.k2_int)[None, :]]
-    np.testing.assert_array_equal(coef, np.conj(mirror))
+    np.testing.assert_array_equal(coef, np.conj(mirror(grid, coef)))
     assert np.all(coef[..., 0, 0].imag == 0)
 
 
@@ -362,19 +386,6 @@ def test_eval_at_on_the_nodes_is_order_zero():
     vals = grid.eval_at(coef, pts)
     assert _relative_gap(vals, grid._eval_dense(coef, pts)) <= 1e-13
     assert _relative_gap(vals, grid.to_grid(coef).ravel()) <= 1e-13
-
-
-def test_eval_at_taylor_path_keeps_the_real_part_of_any_coefficients():
-    # coefficients of no real field, as a Galerkin truncation that splits
-    # a shell of |k|^2 leaves them: both paths return the real part
-    rng = np.random.default_rng(8)
-    grid = make_grid(32)
-    coef = grid.project_scalar(_band_coef(grid, rng), 3)
-    coef[2, 5] += 0.7j
-    mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
-    pts = mesh + rng.uniform(-1e-3, 1e-3, mesh.shape)
-    assert grid._plan(pts)[2] is not None
-    assert _relative_gap(grid.eval_at(coef, pts), grid._eval_dense(coef, pts)) <= 1e-13
 
 
 def test_shape_mismatch_raises():

@@ -234,6 +234,18 @@ def test_bad_time_step():
     assert err.line == 2
 
 
+def test_mode_counts_checked_against_the_grid():
+    # a count that keeps some k without -k, at 32^2
+    err = _err("[time]\ndt = 0.004\nn_modes_u = 10\n")
+    assert err.line == 3
+    assert "n_modes_u" in str(err) and "nearest valid counts are 9 and 13" in str(err)
+    err = _err("[domain]\nn1 = 32\n[time]\nn_modes_phi = 100000\n")
+    assert err.line == 4
+    assert "n_modes_phi" in str(err) and "[0, 441]" in str(err)
+    cfg = parse_config("[time]\nn_modes_u = 9\nn_modes_phi = 13\n")
+    assert (cfg.n_modes_u, cfg.n_modes_phi) == (9, 13)
+
+
 # --- profiles ----------------------------------------------------------------
 
 def test_profile_key_enforcement():

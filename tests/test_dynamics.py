@@ -280,7 +280,7 @@ def test_rhs_equilibrium_exact_zero():
     mu = np.zeros(g.n_grid, dtype=complex)
     mu[0, 0] = f_eps_prime(prob.spec, c)
     state = FlowState(0.0, u, phi, rho, mu)
-    du, dphi = rhs(g, state, prob.laws, prob.model, prob.spec)
+    du, dphi = rhs(g, state, prob.laws, prob.spec)
     assert np.all(du == 0.0)
     assert np.all(dphi == 0.0)
 
@@ -302,7 +302,7 @@ def test_rhs_stokes_single_mode():
     phi = g.to_spectral(phi_constant(g, 0.0))
     mu = np.zeros(g.n_grid, dtype=complex)
     state = FlowState(0.0, u, phi, rho, mu)
-    du, dphi = rhs(g, state, prob.laws, prob.model, prob.spec)
+    du, dphi = rhs(g, state, prob.laws, prob.spec)
     assert np.max(np.abs(du - (-nu) * u)) < 1e-12 * amp
     assert np.all(dphi == 0.0)
 
@@ -324,7 +324,7 @@ def test_rhs_spinodal_growth_rate():
     u = np.zeros((2,) + g.n_grid, dtype=complex)
     mu = solve_mu(g, phi, rho, prob.model, spec)
     state = FlowState(0.0, u, phi, rho, mu)
-    du, dphi = rhs(g, state, prob.laws, prob.model, spec)
+    du, dphi = rhs(g, state, prob.laws, spec)
     fpp0 = -2.0 + 0.5
     rate = -d0 * 1.0 * (fpp0 + 1.0)  # positive: instability
     assert rate > 0
@@ -341,12 +341,30 @@ def test_rhs_mode_projection():
         phi_band_random(g, seed=3, kmax=2, amplitude=0.4), cfg,
     )
     assert np.array_equal(state.phi, g.project_scalar(state.phi, 9))
-    du, dphi = rhs(g, state, prob.laws, prob.model, prob.spec,
+    du, dphi = rhs(g, state, prob.laws, prob.spec,
                    n_modes_u=9, n_modes_phi=9)
     assert np.array_equal(dphi, g.project_scalar(dphi, 9))
     for c in du:
         assert np.array_equal(c, g.project_scalar(c, 9))
     assert np.max(np.abs(g.div(du))) < 1e-12
+
+
+def test_truncated_steps_keep_every_field_exactly_hermitian():
+    # to_grid reads the half plane k2 >= 0 alone, so a truncated run must
+    # leave the coefficients of real fields, bit for bit
+    prob = make_problem(n=16)
+    g = prob.grid
+    cfg = StepperConfig(dt=4e-3, t_end=0.012, n_modes_u=13, n_modes_phi=13)
+    state = make_state(
+        prob, u_taylor_green(g, 0.3),
+        phi_band_random(g, seed=3, kmax=2, amplitude=0.4), cfg,
+    )
+    deriv = None
+    for _ in range(3):
+        state, deriv = step(prob, state, cfg, deriv0=deriv)
+    neg = (Ellipsis, (-g.k1_int)[:, None], (-g.k2_int)[None, :])
+    for c in (state.u, state.phi, state.mu, *deriv):
+        np.testing.assert_array_equal(c, np.conj(c[neg]))
 
 
 # --- linearized right-hand side -------------------------------------------------
@@ -358,10 +376,10 @@ def test_linearized_matches_rhs_when_frozen_is_current():
         prob, u_taylor_green(g, 0.3),
         phi_band_random(g, seed=5, kmax=2, amplitude=0.4, mean=-0.05),
     )
-    du_a, dphi_a = rhs(g, state, prob.laws, prob.model, prob.spec)
+    du_a, dphi_a = rhs(g, state, prob.laws, prob.spec)
     du_b, dphi_b = linearized_rhs(
         g, state, state.u.copy(), state.phi.copy(),
-        prob.laws, prob.model, prob.spec,
+        prob.laws, prob.spec,
     )
     assert np.max(np.abs(du_a - du_b)) < 1e-14
     assert np.max(np.abs(dphi_a - dphi_b)) < 1e-14
@@ -380,7 +398,7 @@ def test_linearized_constant_frozen_phi_flux_only():
     frozen_u = state.u.copy()
     frozen_phi = g.to_spectral(phi_constant(g, frozen_phi_val))
     _, dphi = linearized_rhs(g, state, frozen_u, frozen_phi,
-                             prob.laws, prob.model, prob.spec)
+                             prob.laws, prob.spec)
     d_c = prob.laws.mobility(frozen_phi_val)
     expected = -d_c * g.k_sq * state.mu
     assert np.max(np.abs(dphi - expected)) < 1e-12
@@ -407,7 +425,7 @@ def test_linearized_rhs_quadrature_oracle():
     frozen_phi = g.to_spectral(phi_band_random(g, seed=13, kmax=2, amplitude=0.3, mean=0.1))
     mu = solve_mu(g, phi, rho, model, spec)
     state = FlowState(0.0, u, phi, rho, mu)
-    du, dphi = linearized_rhs(g, state, frozen_u, frozen_phi, laws, model, spec)
+    du, dphi = linearized_rhs(g, state, frozen_u, frozen_phi, laws, spec)
 
     X, Y = g.mesh
     rv = rho.values

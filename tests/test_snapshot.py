@@ -109,12 +109,12 @@ def test_truncated_payload(small_run):
 
 def test_partial_mode_counts(small_run):
     _, grid, state = small_run
-    raw = _dump(grid, state, n_modes_u=10, n_modes_phi=7)
+    raw = _dump(grid, state, n_modes_u=9, n_modes_phi=5)
     snap = read_snapshot(io.BytesIO(raw))
-    assert snap.u_coef.shape == (2, 10)
-    assert snap.phi_coef.shape == (7,)
+    assert snap.u_coef.shape == (2, 9)
+    assert snap.phi_coef.shape == (5,)
     # retained modes are the energetically leading ones, in canonical order
-    full = state.phi.ravel()[grid.mode_order[:7]]
+    full = state.phi.ravel()[grid.mode_order[:5]]
     assert np.array_equal(snap.phi_coef, full)
 
 
@@ -124,12 +124,19 @@ def test_mode_count_bounds(small_run):
         _dump(grid, state, n_modes_u=0)
     with pytest.raises(DomainError, match="mode counts"):
         _dump(grid, state, n_modes_phi=grid.n_band_modes + 1)
+    # counts that keep some k without -k
+    with pytest.raises(DomainError, match="nearest valid counts are 9 and 13"):
+        _dump(grid, state, n_modes_u=10)
+    with pytest.raises(DomainError, match="nearest valid counts are 5 and 9"):
+        _dump(grid, state, n_modes_phi=7)
 
 
 def test_embed_rejects_oversized(small_run):
     _, grid, _ = small_run
     with pytest.raises(DomainError, match="retains only"):
         embed_coefficients(grid, np.zeros(grid.n_band_modes + 1, complex))
+    with pytest.raises(DomainError, match="nearest valid counts are 5 and 9"):
+        embed_coefficients(grid, np.zeros(7, complex))
 
 
 def test_restore_grid_mismatch(small_run):
