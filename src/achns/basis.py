@@ -214,11 +214,14 @@ class TorusGrid:
 
     def check_mode_count(self, n_modes):
         """DomainError unless n_modes is in valid_mode_counts, naming the
-        nearest valid counts below and above."""
+        nearest valid counts below and above (the nearest end of the
+        range for a count outside it)."""
         if n_modes in self.valid_mode_counts:
             return
         if not 0 <= n_modes <= self.n_band_modes:
-            raise DomainError(f"n_modes must lie in [0, {self.n_band_modes}], got {n_modes}")
+            nearest = 0 if n_modes < 0 else self.n_band_modes
+            raise DomainError(f"n_modes must lie in [0, {self.n_band_modes}], got {n_modes}; "
+                              f"the nearest valid count is {nearest}")
         below = max(n for n in self.valid_mode_counts if n < n_modes)
         above = min(n for n in self.valid_mode_counts if n > n_modes)
         raise DomainError(f"n_modes={n_modes} keeps some k without -k; the nearest "

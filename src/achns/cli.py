@@ -206,6 +206,21 @@ def _lift_modes(coarse, fine, coef):
     return out
 
 
+def _sweep_config(cfg, n):
+    """cfg on the n x n grid. Raises DomainError, naming the key and the
+    grid, when a mode count of cfg is not valid there."""
+    cfg_n = dataclasses.replace(cfg, n_grid=(n, n))
+    grid = cfg_n.grid()
+    for key in ("n_modes_u", "n_modes_phi"):
+        count = getattr(cfg, key)
+        if count is not None:
+            try:
+                grid.check_mode_count(count)
+            except DomainError as exc:
+                raise DomainError(f"[time] {key} on the {n}x{n} sweep grid: {exc}") from exc
+    return cfg_n
+
+
 def _run_final_state(cfg):
     grid = cfg.grid()
     problem = cfg.problem()
@@ -223,10 +238,9 @@ def _cmd_sweep(args) -> int:
         sizes = sorted({int(tok) for tok in args.modes.split(",") if tok.strip()})
         if len(sizes) < 2:
             raise DomainError("--modes needs at least two sizes")
-        results = []
-        for n in sizes:
-            cfg_n = dataclasses.replace(cfg, n_grid=(n, n))
-            results.append((n,) + _run_final_state(cfg_n))
+        # every sweep grid is checked before the first run
+        cfgs = [_sweep_config(cfg, n) for n in sizes]
+        results = [(n,) + _run_final_state(cfg_n) for n, cfg_n in zip(sizes, cfgs)]
         n_ref, g_ref, st_ref = results[-1]
         print(f"reference: n={n_ref}")
         for n, g, st in results[:-1]:

@@ -173,10 +173,27 @@ def _norm(a) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
 
 
+def _start(apply_a, b, x0):
+    """The A-optimal multiple beta x0 of a start, beta = Re(x0^H b) /
+    (x0^H A x0), and its residual b - beta A x0, from one application of
+    A. Its A-norm error is never above that of x = 0, which it takes when
+    x0^H A x0 is not positive and finite. beta is real, so a start that
+    is exactly Hermitian stays so."""
+    ax = apply_a(x0)
+    curv = np.vdot(x0, ax).real
+    if not 0.0 < curv < np.inf:
+        return np.zeros_like(b), b.copy()
+    beta = np.vdot(x0, b).real / curv
+    return beta * x0, b - beta * ax
+
+
 def _cg(apply_a, b, x0, rtol, label):
     """Conjugate gradients on (possibly stacked) complex coefficients.
 
-    The iteration runs on b and x0 divided by max|b| rounded up to a
+    x0 is a guess at the solution, such as the solution of a nearby
+    system; the iteration starts from its A-optimal multiple (`_start`),
+    so a poor guess leaves no larger an A-norm error than none, at no
+    extra application of A. The iteration runs on b and x0 divided by max|b| rounded up to a
     power of two, so no inner product overflows or underflows. The
     scaling is exact: where the unscaled solve stays finite, its iterates
     are these scaled back. x, r and p are updated in place. A solve
@@ -192,9 +209,8 @@ def _cg(apply_a, b, x0, rtol, label):
     # 1 / 2^e with 2^(e-1) <= max|b| < 2^e; e >= -1000 keeps it finite
     inv = np.ldexp(1.0, -max(int(np.frexp(bmax)[1]), -1000))
     b = b * inv
-    x = x0 * inv
     bnorm = _norm(b)
-    r = b - apply_a(x)
+    x, r = _start(apply_a, b, x0 * inv)
     rs = np.vdot(r, r).real
     if np.sqrt(rs) <= rtol * bnorm:
         return x / inv
@@ -281,11 +297,12 @@ def solve_mu(grid: TorusGrid, phi, rho: DensityField, model: AnisotropyModel,
 
 # --- right-hand sides --------------------------------------------------------
 
-def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi):
+def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi, start):
     """Shared weak-form assembly. frozen is None for the self-consistent
     system, or the pair (u~, phi~) that sets the advection velocity, the
     transported and capillary gradients and the material coefficients
-    of the linearized one."""
+    of the linearized one. start is None, for the starts b / rho_bar of
+    the two mass solves, or a derivative pair to start them from."""
     rho_vals, u, phi = state.rho.values, state.u, state.phi
     ug = grid.to_grid(u)
     phig = grid.to_grid(phi)
@@ -318,13 +335,8 @@ def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi):
         b_u = grid.project_scalar(b_u, n_modes_u)
 
     rho_bar = float(rho_vals.mean())
-    dudt = _cg(
-        _vector_mass_apply(grid, rho_vals, n_modes_u),
-        b_u,
-        grid.leray_project(b_u / rho_bar),
-        DEFAULT_RTOL,
-        "velocity",
-    )
+    du0 = grid.leray_project(b_u / rho_bar) if start is None else start[0]
+    dudt = _cg(_vector_mass_apply(grid, rho_vals, n_modes_u), b_u, du0, DEFAULT_RTOL, "velocity")
 
     gmu_vals = grid.to_grid(grid.grad(state.mu))
     conv_phi = rho_vals * (ug[0] * gfrozen_vals[0] + ug[1] * gfrozen_vals[1])
@@ -332,25 +344,29 @@ def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi):
     b_phi = -grid.to_spectral(conv_phi) + flux
     if n_modes_phi is not None:
         b_phi = grid.project_scalar(b_phi, n_modes_phi)
-    start = b_phi / rho_bar
-    dphidt = _cg(_scalar_mass_apply(grid, rho_vals, n_modes_phi), b_phi, start, DEFAULT_RTOL, "concentration")
+    dphi0 = b_phi / rho_bar if start is None else start[1]
+    dphidt = _cg(_scalar_mass_apply(grid, rho_vals, n_modes_phi), b_phi, dphi0, DEFAULT_RTOL, "concentration")
     return dudt, dphidt
 
 
 def rhs(grid: TorusGrid, state: FlowState, laws: MaterialLaws,
-        spec: PotentialSpec, *, n_modes_u=None, n_modes_phi=None):
-    """Self-consistent Galerkin time derivatives (du/dt, dphi/dt)."""
-    return _assemble(grid, state, None, laws, spec, n_modes_u, n_modes_phi)
+        spec: PotentialSpec, *, n_modes_u=None, n_modes_phi=None, start=None):
+    """Self-consistent Galerkin time derivatives (du/dt, dphi/dt).
+
+    start=(du0, dphi0), a derivative pair of a nearby state in the same
+    truncation, starts the two mass solves; it moves the result only
+    within the solver tolerance."""
+    return _assemble(grid, state, None, laws, spec, n_modes_u, n_modes_phi, start)
 
 
 def linearized_rhs(grid: TorusGrid, state: FlowState, frozen_u, frozen_phi,
                    laws: MaterialLaws, spec: PotentialSpec, *, n_modes_u=None,
-                   n_modes_phi=None):
+                   n_modes_phi=None, start=None):
     """Time derivatives with advection velocity, transported gradient,
     material coefficients and capillary gradient frozen at (u~, phi~);
-    the potential gradient keeps the current phi."""
+    the potential gradient keeps the current phi. start is as in rhs."""
     return _assemble(grid, state, (frozen_u, frozen_phi), laws, spec,
-                     n_modes_u, n_modes_phi)
+                     n_modes_u, n_modes_phi, start)
 
 
 # --- time stepping -----------------------------------------------------------
@@ -365,16 +381,26 @@ def _check_finite(t, name, arr):
 
 
 def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRecord,
-             slope, mu_seed, n_modes_phi) -> FlowState:
+             slope, n_modes_phi, seeds=None):
     """One classical RK4 step of (u, phi) from state over [t, t + h].
 
-    k1 is the derivative pair (du/dt, dphi/dt) at state; slope(FlowState)
-    gives it at the other stages. The stage densities at t + h/2 and
-    t + h ride the characteristics of the velocity record, traced back to
-    t and composed with the state's displacement. Each stage's potential
-    solve starts from the previous stage's potential, the first from
-    mu_seed. Returns the end-of-step state with its potential solved
-    afresh; raises BlowUpError on a non-finite stage or end state.
+    k1 is the derivative pair (du/dt, dphi/dt) at state; slope(FlowState,
+    start) gives it at the other stages, its mass solves started from the
+    derivative pair start. The stage densities at t + h/2 and t + h ride
+    the characteristics of the velocity record, traced back to t and
+    composed with the state's displacement.
+
+    Every mass solve starts from the nearest solution at hand. With no
+    seeds, each stage starts its potential from the previous stage's
+    (the first from state.mu) and its derivatives from the previous
+    stage's (the first from k1). seeds are the stages an earlier pass of
+    the same step returned; then each stage starts all three solves from
+    its match there.
+
+    Returns (end_state, stages): the end-of-step state, its potential
+    solved afresh, and the (mu, (du/dt, dphi/dt)) of s2, s3 and s4 followed
+    by (end_state.mu, None). Raises BlowUpError on a non-finite stage or
+    end state.
     """
     g = problem.grid
     t = state.t
@@ -397,44 +423,56 @@ def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRec
 
     _check_finite(t, "velocity", state.u)
     _check_finite(t, "order_parameter", state.phi)
+    mu, k = state.mu, k1
+    stages = []
+    for i, (c, rho_c) in enumerate(((h / 2, rho_half), (h / 2, rho_half), (h, rho_full))):
+        mu_start, k_start = (mu, k) if seeds is None else seeds[i]
+        s = stage(t + c, state.u + c * k[0], state.phi + c * k[1], rho_c, mu_start)
+        mu, k = s.mu, slope(s, k_start)
+        stages.append((mu, k))
+    (du2, dphi2), (du3, dphi3), (du4, dphi4) = (k for _, k in stages)
     du1, dphi1 = k1
-    s2 = stage(t + h / 2, state.u + (h / 2) * du1, state.phi + (h / 2) * dphi1, rho_half, mu_seed)
-    du2, dphi2 = slope(s2)
-    s3 = stage(t + h / 2, state.u + (h / 2) * du2, state.phi + (h / 2) * dphi2, rho_half, s2.mu)
-    du3, dphi3 = slope(s3)
-    s4 = stage(t + h, state.u + h * du3, state.phi + h * dphi3, rho_full, s3.mu)
-    du4, dphi4 = slope(s4)
     u_new = state.u + (h / 6) * (du1 + 2 * du2 + 2 * du3 + du4)
     phi_new = state.phi + (h / 6) * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
-    end = stage(t + h, u_new, phi_new, rho_full, s4.mu)
+    end = stage(t + h, u_new, phi_new, rho_full, mu if seeds is None else seeds[3][0])
     _check_finite(t + h, "chemical_potential", end.mu)
-    return FlowState(t + h, u_new, phi_new, rho_full, end.mu, disp)
+    stages.append((end.mu, None))
+    return FlowState(t + h, u_new, phi_new, rho_full, end.mu, disp), stages
 
 
 def step(problem: Problem, state: FlowState, cfg: StepperConfig, *,
          dt=None, deriv0=None):
     """One two-pass RK4 step. Returns (new_state, end-of-step
-    derivatives) so callers can chain without re-evaluating."""
+    derivatives) so callers can chain without re-evaluating.
+
+    Pass 1 starts each stage's solves from pass 0's solution of the same
+    stage; the end slope of the Hermite model starts from pass 0's k4,
+    and the returned end derivatives from that end slope."""
     h = cfg.dt if dt is None else dt
     check_dt(problem, cfg, h)
     nmp = cfg.n_modes_phi
 
-    def slope(st):
+    def slope(st, start=None):
         return rhs(problem.grid, st, problem.laws, problem.spec,
-                   n_modes_u=cfg.n_modes_u, n_modes_phi=nmp)
+                   n_modes_u=cfg.n_modes_u, n_modes_phi=nmp, start=start)
 
     # stage 1 shares the state's own (consistent) chemical potential
     k1 = deriv0 if deriv0 is not None else slope(state)
 
     # pass 0: predictor with a linear velocity model
-    zeros = np.zeros_like(state.u)
-    linear = StepRecord(state.t, h, np.stack([state.u, h * k1[0], zeros, zeros]))
-    pred = rk4_step(problem, state, h, k1, linear, slope, state.mu, nmp)
+    linear = np.zeros((4,) + state.u.shape, dtype=complex)
+    linear[0], linear[1] = state.u, h * k1[0]
+    pred, stages = rk4_step(problem, state, h, k1, StepRecord(state.t, h, linear), slope, nmp)
+    del linear  # pass 1 holds no record of pass 0
+    end_slope = slope(pred, stages[2][1])
 
     # pass 1: corrector with the cubic velocity model
-    cubic = StepRecord.hermite(state.t, h, state.u, k1[0], pred.u, slope(pred)[0])
-    new_state = rk4_step(problem, state, h, k1, cubic, slope, pred.mu, nmp)
-    return new_state, slope(new_state)
+    new_state, _ = rk4_step(
+        problem, state, h, k1,
+        StepRecord.hermite(state.t, h, state.u, k1[0], pred.u, end_slope[0]), slope, nmp, stages,
+    )
+    del stages  # pass 1 was their only reader
+    return new_state, slope(new_state, end_slope)
 
 
 @dataclass

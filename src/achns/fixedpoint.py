@@ -142,10 +142,10 @@ def lambda_map(problem: Problem, frozen: FrozenPair, u0_grid, phi0_grid,
     h = frozen.dt
     state = problem.initial_state(u0_grid, phi0_grid, cfg)
 
-    def slope(st, u_tilde, phi_tilde):
+    def slope(st, u_tilde, phi_tilde, start=None):
         return linearized_rhs(
             g, st, u_tilde, phi_tilde, problem.laws, problem.spec,
-            n_modes_u=cfg.n_modes_u, n_modes_phi=cfg.n_modes_phi,
+            n_modes_u=cfg.n_modes_u, n_modes_phi=cfg.n_modes_phi, start=start,
         )
 
     k1 = slope(state, frozen.u[0], frozen.phi[0])
@@ -156,12 +156,14 @@ def lambda_map(problem: Problem, frozen: FrozenPair, u0_grid, phi0_grid,
         urec, prec = frozen.records(k)
         # the density rides the frozen velocity; the stages see the
         # frozen pair's cubic models at their own times
-        state = rk4_step(
+        state, stages = rk4_step(
             problem, state, h, k1, urec,
-            lambda st: slope(st, urec.coef_at(st.t), prec.coef_at(st.t)),
-            state.mu, cfg.n_modes_phi,
+            lambda st, start: slope(st, urec.coef_at(st.t), prec.coef_at(st.t), start),
+            cfg.n_modes_phi,
         )
-        k1 = slope(state, frozen.u[k + 1], frozen.phi[k + 1])
+        # the next step's k1 starts from this step's stage-4 derivative
+        k1 = slope(state, frozen.u[k + 1], frozen.phi[k + 1], stages[2][1])
+        del stages
         us.append(state.u)
         dus.append(k1[0])
         phis.append(state.phi)

@@ -280,6 +280,26 @@ def test_sweep_requires_exactly_one_mode(tiny_cfg, capsys):
     assert main(["sweep", "--config", tiny_cfg, "--modes", "8"]) == 1
 
 
+@pytest.mark.parametrize("key, count, nearest", [
+    ("n_modes_u", 441, "the nearest valid count is 121"),
+    # valid at 32^2, but it splits the |k|^2 = 41 shell at 16^2
+    ("n_modes_phi", 113, "the nearest valid counts are 109 and 117"),
+])
+def test_sweep_checks_every_grid_before_the_first_run(tmp_path, monkeypatch, capsys,
+                                                      key, count, nearest):
+    path = tmp_path / "modes.cfg"
+    path.write_text(TINY.replace("n1 = 8\nn2 = 8", "n1 = 32\nn2 = 32") + f"{key} = {count}\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("sweep stepped before checking every grid")
+
+    monkeypatch.setattr("achns.cli.run_integrator", no_run)
+    assert main(["sweep", "--config", str(path), "--modes", "32,16"]) == 1
+    err = capsys.readouterr().err
+    assert f"[time] {key} on the 16x16 sweep grid" in err
+    assert nearest in err
+
+
 # --- parser ------------------------------------------------------------------
 
 def test_no_arguments_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from achns import dynamics
 from achns.anisotropy import quadratic_form, taylor_cahn
 from achns.basis import TorusGrid
 from achns.dynamics import (
@@ -9,6 +10,9 @@ from achns.dynamics import (
     Problem,
     StepperConfig,
     _cg,
+    _norm,
+    _scalar_mass_apply,
+    _start,
     _vector_mass_apply,
     linearized_rhs,
     rhs,
@@ -21,6 +25,7 @@ from achns.dynamics import (
 from achns.errors import BlowUpError, DomainError, SolverError, StabilityError
 from achns.potential import PotentialSpec, f_eps_prime
 from achns.profiles import (
+    BlobDensity,
     ConstantDensity,
     SinusoidalDensity,
     phi_band_random,
@@ -176,6 +181,64 @@ def test_cg_returns_only_on_the_true_residual():
         x = _cg(apply_a, b, b / rho.mean(), 1e-13, "velocity")
         r = b - apply_a(x)
         assert np.sqrt(np.vdot(r, r).real) <= 1e-13 * np.sqrt(np.vdot(b, b).real), seed
+
+
+def blob_mass_operators(n=16, ratio=100.0):
+    """The scalar and vector mass operators of a ratio:1 density blob at
+    n^2, each with a sampler of random fields in its solution space."""
+    g = TorusGrid(BOX, (n, n))
+    x1, x2 = g.mesh
+    rho = 1.0 + (ratio - 1.0) * np.exp(-((x1 - np.pi) ** 2 + (x2 - np.pi) ** 2) / 0.8)
+
+    def scalar_field(seed):
+        return g.to_spectral(np.random.default_rng(seed).standard_normal((n, n)))
+
+    def vector_field(seed):
+        return g.leray_project(g.to_spectral(np.random.default_rng(seed).standard_normal((2, n, n))))
+
+    return [(_scalar_mass_apply(g, rho, None), scalar_field),
+            (_vector_mass_apply(g, rho, None), vector_field)]
+
+
+def a_norm_sq(apply_a, e):
+    return np.vdot(e, apply_a(e)).real
+
+
+def test_cg_scaled_start_is_never_worse_than_zero():
+    for apply_a, field in blob_mass_operators():
+        sol = field(5)
+        b = apply_a(sol)
+        other = field(6)
+        starts = [sol, -3.0 * sol, 1e12 * sol, sol + 0.5 * other, other, -other,
+                  1e-30 * other, np.zeros_like(sol)]
+        zero_err = a_norm_sq(apply_a, sol)
+        for x0 in starts:
+            x, r = _start(apply_a, b, x0)
+            assert a_norm_sq(apply_a, sol - x) <= zero_err * (1 + 1e-12)
+            np.testing.assert_allclose(r, b - apply_a(x), rtol=0, atol=1e-12 * np.abs(b).max())
+            x = _cg(apply_a, b, x0, 1e-13, "potential")
+            assert _norm(b - apply_a(x)) <= 1e-13 * _norm(b)
+
+
+def test_cg_takes_a_far_start_for_a_right_hand_side_at_rounding_level():
+    # criterion 3 in miniature: a right-hand side of pure rounding, started
+    # from a derivative 1e20 times larger. The start as given leaves a
+    # residual 1e20 times b, which CG cannot reduce to rtol
+    for apply_a, field in blob_mass_operators():
+        b = 1e-17 * field(7)
+        x0 = 1e20 * np.abs(b).max() / np.abs(field(8)).max() * field(8)
+        x = _cg(apply_a, b, x0, 1e-13, "velocity")
+        assert _norm(b - apply_a(x)) <= 1e-13 * _norm(b)
+
+
+def test_cg_from_the_exact_solution_returns_after_one_application():
+    for apply_a, field in blob_mass_operators():
+        sol = field(5)
+        b = apply_a(sol)
+        calls = []
+        x = _cg(lambda w: calls.append(1) or apply_a(w), b, sol, 1e-13, "velocity")
+        assert len(calls) == 1
+        assert _norm(x - sol) <= 1e-13 * _norm(sol)
 
 
 # --- chemical potential solves ------------------------------------------------
@@ -524,14 +587,22 @@ def test_rk4_step_stages_and_end_state():
     c_u = g.leray_project(g.to_spectral(rng.standard_normal((2, 8, 8))))
     c_phi = g.to_spectral(rng.standard_normal((8, 8)))
     seen = []
+    starts = []
 
-    def slope(st):
+    def slope(st, start):
         seen.append(st)
+        starts.append(start)
         return c_u, c_phi
 
     still = StepRecord(0.5, h, np.zeros((4,) + state.u.shape, dtype=complex))
-    new = rk4_step(prob, state, h, (c_u, c_phi), still, slope, state.mu, None)
+    new, stages = rk4_step(prob, state, h, (c_u, c_phi), still, slope, None)
     assert [st.t for st in seen] == [0.5 + h / 2, 0.5 + h / 2, 0.5 + h]
+    # with no seeds, each stage's solves start from the previous stage's
+    assert all(start[0] is c_u and start[1] is c_phi for start in starts)
+    assert len(stages) == 4 and stages[3][1] is None
+    for (mu, _), st in zip(stages, seen + [new]):
+        assert mu is st.mu
+    assert all(k[0] is c_u and k[1] is c_phi for _, k in stages[:3])
     # a resting velocity model leaves the density where it was
     for st in seen + [new]:
         np.testing.assert_array_equal(st.rho.values, state.rho.values)
@@ -554,13 +625,45 @@ def test_rk4_step_raises_on_a_non_finite_stage():
     still = StepRecord(0.0, 1e-3, np.zeros((4,) + state.u.shape, dtype=complex))
     zero = (np.zeros_like(state.u), np.zeros_like(state.phi))
 
-    def slope(st):
+    def slope(st, start):
         return np.full_like(state.u, np.nan), zero[1]
 
     with pytest.raises(BlowUpError) as exc:
-        rk4_step(prob, state, 1e-3, zero, still, slope, state.mu, None)
+        rk4_step(prob, state, 1e-3, zero, still, slope, None)
     assert exc.value.field == "velocity"
     assert exc.value.t == pytest.approx(5e-4)
+
+
+def test_step_starts_each_solve_from_the_nearest_solution(monkeypatch):
+    # one 16^2 step at a 1:100 blob, every solve seen as perfbench's
+    # wrap_cg sees it: by _cg's five positional arguments
+    prob = make_problem(n=16, rho=BlobDensity(1.0, 99.0, 0.8, (np.pi, np.pi), BOX))
+    g = prob.grid
+    h = 0.5 * stability_bound(prob)
+    cfg = StepperConfig(dt=h, t_end=h)
+    state = make_state(prob, u_taylor_green(g, 0.3), phi_band_random(g, seed=7, kmax=3, amplitude=0.3), cfg)
+    k1 = rhs(g, state, prob.laws, prob.spec)
+    cg = dynamics._cg
+    solves = []
+
+    def traced_cg(apply_a, b, x0, rtol, label):
+        r0 = b - apply_a(x0)
+        solves.append((label, _norm(r0) / _norm(b)))
+        return cg(apply_a, b, x0, rtol, label)
+
+    monkeypatch.setattr(dynamics, "_cg", traced_cg)
+    step(prob, state, cfg, deriv0=k1)
+    stages = ["potential", "velocity", "concentration"] * 3 + ["potential"]
+    slopes = ["velocity", "concentration"]
+    assert [label for label, _ in solves] == stages + slopes + stages + slopes
+    start = [r0 for _, r0 in solves]
+    # b / rho_bar leaves a relative residual above 1 at this contrast, and
+    # the previous stage's derivative one below 0.1
+    for i in (1, 2, 4, 5, 7, 8, 10, 11):
+        assert start[i] < 0.2, i
+    # pass 1 and the end derivatives start from pass 0's solutions
+    for i in range(12, 24):
+        assert start[i] < 1e-4, i
 
 
 def test_step_stokes_decay_closed_form():
