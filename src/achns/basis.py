@@ -213,10 +213,10 @@ class TorusGrid:
         return frozenset([0, *ends.tolist()])
 
     def check_mode_count(self, n_modes):
-        """DomainError unless n_modes is in valid_mode_counts, naming the
-        nearest valid counts below and above (the nearest end of the
-        range for a count outside it)."""
-        if n_modes in self.valid_mode_counts:
+        """DomainError unless n_modes is None (the whole band) or in
+        valid_mode_counts, naming the nearest valid counts below and above
+        (the nearest end of the range for a count outside it)."""
+        if n_modes is None or n_modes in self.valid_mode_counts:
             return
         if not 0 <= n_modes <= self.n_band_modes:
             nearest = 0 if n_modes < 0 else self.n_band_modes
@@ -232,8 +232,11 @@ class TorusGrid:
         (N1, N2) or of each field of a stack (..., N1, N2).
 
         Ties in |k|^2 are broken lexicographically on (k1, k2), matching
-        the canonical mode order. n_modes must be in valid_mode_counts.
+        the canonical mode order. n_modes must be in valid_mode_counts;
+        None keeps the whole band and returns coef itself.
         """
+        if n_modes is None:
+            return coef
         self.check_mode_count(n_modes)
         flat = coef.reshape(coef.shape[:-2] + (-1,))
         out = np.zeros_like(flat)

@@ -212,12 +212,10 @@ def _sweep_config(cfg, n):
     cfg_n = dataclasses.replace(cfg, n_grid=(n, n))
     grid = cfg_n.grid()
     for key in ("n_modes_u", "n_modes_phi"):
-        count = getattr(cfg, key)
-        if count is not None:
-            try:
-                grid.check_mode_count(count)
-            except DomainError as exc:
-                raise DomainError(f"[time] {key} on the {n}x{n} sweep grid: {exc}") from exc
+        try:
+            grid.check_mode_count(getattr(cfg, key))
+        except DomainError as exc:
+            raise DomainError(f"[time] {key} on the {n}x{n} sweep grid: {exc}") from exc
     return cfg_n
 
 
@@ -275,7 +273,7 @@ def _cmd_sweep(args) -> int:
         if e0_unreg is None:
             # unregularized initial energy: swap only the potential term;
             # the logarithmic well needs |phi| < 1, true for admissible data
-            state0 = problem.initial_state(u0, phi0, cfg_e.stepper())
+            state0 = problem.initial_state(u0, phi0)
             phi_vals = grid.to_grid(state0.phi)
             e_pot_unreg = grid.quadrature(state0.rho.values * f_log(spec, phi_vals))
             e0_unreg = st0.e_kin + st0.e_surf + e_pot_unreg

@@ -77,64 +77,32 @@ def _pmodes(text, line):
     return out
 
 
+# each key's parser and default (None: unset unless given); the defaults
+# reproduce the packaged demo run
 _SCHEMA = {
-    "domain": {"l1": _pfloat, "l2": _pfloat, "n1": _pint, "n2": _pint},
-    "anisotropy": {"m11": _pfloat, "m12": _pfloat, "m22": _pfloat, "beta": _pfloat},
-    "potential": {"lambda1": _pfloat, "lambda2": _pfloat, "eps": _pfloat},
-    "material": {"nu_minus": _pfloat, "nu_plus": _pfloat,
-                 "d_minus": _pfloat, "d_plus": _pfloat},
-    "density": {"profile": _pstr, "value": _pfloat, "base": _pfloat,
-                "amplitude": _pfloat, "k1": _pint, "k2": _pint,
-                "width": _pfloat, "center1": _pfloat, "center2": _pfloat,
-                "mollify_width": _pfloat},
-    "initial_phi": {"profile": _pstr, "value": _pfloat, "modes": _pmodes,
-                    "seed": _pint, "kmax": _pint, "amplitude": _pfloat,
-                    "mean": _pfloat, "extra_modes": _pmodes},
-    "initial_u": {"profile": _pstr, "amplitude": _pfloat, "seed": _pint,
-                  "kmax": _pint},
-    "time": {"dt": _pfloat, "t_end": _pfloat, "stability_safety": _pfloat,
-             "allow_unstable_dt": _pbool, "n_modes_u": _pint,
-             "n_modes_phi": _pint},
-    "output": {"directory": _pstr, "cadence": _pint, "snapshots": _pstr},
-}
-
-# defaults reproduce the packaged demo run
-_DEFAULTS = {
-    ("domain", "l1"): TWO_PI,
-    ("domain", "l2"): TWO_PI,
-    ("domain", "n1"): 32,
-    ("domain", "n2"): 32,
-    ("anisotropy", "m11"): 1.2,
-    ("anisotropy", "m12"): -0.1,
-    ("anisotropy", "m22"): 1.0,
-    ("potential", "lambda1"): 1.0,
-    ("potential", "lambda2"): 0.5,
-    ("potential", "eps"): 0.1,
-    ("material", "nu_minus"): 0.12,
-    ("material", "nu_plus"): 0.08,
-    ("material", "d_minus"): 0.0146,
-    ("material", "d_plus"): 0.0146,
-    ("density", "profile"): "sinusoidal",
-    ("density", "base"): 1.5,
-    ("density", "amplitude"): 0.5,
-    ("density", "k1"): 1,
-    ("density", "k2"): 1,
-    ("density", "mollify_width"): 0.0,
-    ("initial_phi", "profile"): "band_random",
-    ("initial_phi", "seed"): 7,
-    ("initial_phi", "kmax"): 2,
-    ("initial_phi", "amplitude"): 0.5,
-    ("initial_phi", "mean"): -0.05,
-    ("initial_phi", "extra_modes"): [(10, -10, 2e-9, 0.0)],
-    ("initial_u", "profile"): "taylor_green",
-    ("initial_u", "amplitude"): 0.3,
-    ("time", "dt"): 4e-3,
-    ("time", "t_end"): 1.0,
-    ("time", "stability_safety"): 1.0,
-    ("time", "allow_unstable_dt"): False,
-    ("output", "directory"): "out",
-    ("output", "cadence"): 1,
-    ("output", "snapshots"): "final",
+    "domain": {"l1": (_pfloat, TWO_PI), "l2": (_pfloat, TWO_PI),
+               "n1": (_pint, 32), "n2": (_pint, 32)},
+    "anisotropy": {"m11": (_pfloat, 1.2), "m12": (_pfloat, -0.1), "m22": (_pfloat, 1.0),
+                   "beta": (_pfloat, None)},
+    "potential": {"lambda1": (_pfloat, 1.0), "lambda2": (_pfloat, 0.5), "eps": (_pfloat, 0.1)},
+    "material": {"nu_minus": (_pfloat, 0.12), "nu_plus": (_pfloat, 0.08),
+                 "d_minus": (_pfloat, 0.0146), "d_plus": (_pfloat, 0.0146)},
+    "density": {"profile": (_pstr, "sinusoidal"), "value": (_pfloat, None),
+                "base": (_pfloat, 1.5), "amplitude": (_pfloat, 0.5),
+                "k1": (_pint, 1), "k2": (_pint, 1), "width": (_pfloat, None),
+                "center1": (_pfloat, None), "center2": (_pfloat, None),
+                "mollify_width": (_pfloat, 0.0)},
+    "initial_phi": {"profile": (_pstr, "band_random"), "value": (_pfloat, None),
+                    "modes": (_pmodes, None), "seed": (_pint, 7), "kmax": (_pint, 2),
+                    "amplitude": (_pfloat, 0.5), "mean": (_pfloat, -0.05),
+                    "extra_modes": (_pmodes, [(10, -10, 2e-9, 0.0)])},
+    "initial_u": {"profile": (_pstr, "taylor_green"), "amplitude": (_pfloat, 0.3),
+                  "seed": (_pint, None), "kmax": (_pint, None)},
+    "time": {"dt": (_pfloat, 4e-3), "t_end": (_pfloat, 1.0),
+             "stability_safety": (_pfloat, 1.0), "allow_unstable_dt": (_pbool, False),
+             "n_modes_u": (_pint, None), "n_modes_phi": (_pint, None)},
+    "output": {"directory": (_pstr, "out"), "cadence": (_pint, 1),
+               "snapshots": (_pstr, "final")},
 }
 
 _PROFILE_KEYS = {
@@ -179,15 +147,13 @@ class RunConfig:
         return TorusGrid(self.lengths, self.n_grid)
 
     def problem(self) -> Problem:
-        return Problem(self.grid(), self.model, self.spec, self.laws, self.rho0)
+        return Problem(self.grid(), self.model, self.spec, self.laws, self.rho0,
+                       self.n_modes_u, self.n_modes_phi)
 
     def stepper(self) -> StepperConfig:
-        return StepperConfig(
-            dt=self.dt, t_end=self.t_end, n_modes_u=self.n_modes_u,
-            n_modes_phi=self.n_modes_phi,
-            stability_safety=self.stability_safety,
-            allow_unstable_dt=self.allow_unstable_dt,
-        )
+        return StepperConfig(dt=self.dt, t_end=self.t_end,
+                             stability_safety=self.stability_safety,
+                             allow_unstable_dt=self.allow_unstable_dt)
 
     def initial_fields(self, grid: TorusGrid):
         p = self.phi_init
@@ -261,12 +227,11 @@ class _View:
             return self.entries[(section, key)][1]
         return fallback
 
-    def get(self, section, key, default=_DEFAULTS):
+    def get(self, section, key):
+        parse, default = _SCHEMA[section][key]
         if (section, key) in self.entries:
             raw, line = self.entries[(section, key)]
-            return _SCHEMA[section][key](raw, line)
-        if default is _DEFAULTS:
-            return _DEFAULTS.get((section, key))
+            return parse(raw, line)
         return default
 
     def explicit_keys(self, section):
@@ -294,7 +259,7 @@ def _check_profile_keys(view, section, profile, line):
 
 
 def _require(view, section, key, profile):
-    if not view.has(section, key) and _DEFAULTS.get((section, key)) is None:
+    if not view.has(section, key) and _SCHEMA[section][key][1] is None:
         raise ConfigError(
             f"{section} profile {profile!r} needs key {key!r}",
             view.section_line(section, 0),
@@ -432,19 +397,16 @@ def parse_config(text: str) -> RunConfig:
         stepper = StepperConfig(
             dt=view.get("time", "dt"),
             t_end=view.get("time", "t_end"),
-            n_modes_u=view.get("time", "n_modes_u", None),
-            n_modes_phi=view.get("time", "n_modes_phi", None),
             stability_safety=view.get("time", "stability_safety"),
             allow_unstable_dt=view.get("time", "allow_unstable_dt"),
         )
     except DomainError as exc:
         raise ConfigError(str(exc), view.section_line("time", 0)) from exc
     for key in ("n_modes_u", "n_modes_phi"):
-        if view.has("time", key):
-            try:
-                grid.check_mode_count(view.get("time", key))
-            except DomainError as exc:
-                raise ConfigError(f"{key}: {exc}", view.line("time", key)) from exc
+        try:
+            grid.check_mode_count(view.get("time", key))
+        except DomainError as exc:
+            raise ConfigError(f"{key}: {exc}", view.line("time", key)) from exc
 
     cadence = view.get("output", "cadence")
     if cadence < 1:
@@ -462,7 +424,7 @@ def parse_config(text: str) -> RunConfig:
         dt=stepper.dt, t_end=stepper.t_end,
         stability_safety=stepper.stability_safety,
         allow_unstable_dt=stepper.allow_unstable_dt,
-        n_modes_u=stepper.n_modes_u, n_modes_phi=stepper.n_modes_phi,
+        n_modes_u=view.get("time", "n_modes_u"), n_modes_phi=view.get("time", "n_modes_phi"),
         out_dir=view.get("output", "directory"), cadence=cadence,
         snapshots=snapshots,
     )

@@ -78,8 +78,6 @@ class MaterialLaws:
 class StepperConfig:
     dt: float
     t_end: float
-    n_modes_u: int | None = None
-    n_modes_phi: int | None = None
     stability_safety: float = 1.0
     allow_unstable_dt: bool = False
 
@@ -108,13 +106,20 @@ class FlowState:
 
 @dataclass(frozen=True)
 class Problem:
-    """Static data of one simulation: discretization and physics."""
+    """Static data of one simulation: discretization and physics.
+
+    n_modes_u and n_modes_phi set the Galerkin spaces of u and phi: the
+    lowest n modes of the retained band (`TorusGrid.project_scalar`),
+    None for the whole band. Every right-hand side, mass operator and
+    initial field is projected onto them."""
 
     grid: TorusGrid
     model: AnisotropyModel
     spec: PotentialSpec
     laws: MaterialLaws
     rho0: object  # analytic density sampler with .bounds
+    n_modes_u: int | None = None
+    n_modes_phi: int | None = None
 
     def __post_init__(self):
         if self.model.kind != QUADRATIC_FORM or self.model.dim != 2:
@@ -133,17 +138,13 @@ class Problem:
             raise DomainError("initial density must be strictly positive")
         object.__setattr__(self, "report", report)
 
-    def initial_state(self, u0_grid, phi0_grid, cfg: StepperConfig) -> FlowState:
+    def initial_state(self, u0_grid, phi0_grid) -> FlowState:
         g = self.grid
         u = g.leray_project(g.to_spectral(np.asarray(u0_grid, dtype=float)))
         phi = g.to_spectral(np.asarray(phi0_grid, dtype=float))
-        if cfg.n_modes_u is not None:
-            u = g.project_scalar(u, cfg.n_modes_u)
-        if cfg.n_modes_phi is not None:
-            phi = g.project_scalar(phi, cfg.n_modes_phi)
+        u, phi = g.project_scalar(u, self.n_modes_u), g.project_scalar(phi, self.n_modes_phi)
         rho = density_from_displacement(self.rho0, g, None)
-        mu = solve_mu(g, phi, rho, self.model, self.spec, n_modes=cfg.n_modes_phi)
-        return FlowState(0.0, u, phi, rho, mu, None)
+        return FlowState(0.0, u, phi, rho, solve_mu(self, phi, rho), None)
 
 
 def stability_bound(problem: Problem) -> float:
@@ -256,53 +257,42 @@ def _cg(apply_a, b, x0, rtol, label):
 
 
 def _scalar_mass_apply(grid, rho_vals, n_modes):
-    def apply_a(w):
-        out = grid.to_spectral(rho_vals * grid.to_grid(w))
-        if n_modes is not None:
-            out = grid.project_scalar(out, n_modes)
-        return out
+    return lambda w: grid.project_scalar(grid.to_spectral(rho_vals * grid.to_grid(w)), n_modes)
 
-    return apply_a
 
 def _vector_mass_apply(grid, rho_vals, n_modes):
-    def apply_a(w):
-        out = grid.leray_project(grid.to_spectral(rho_vals * grid.to_grid(w)))
-        if n_modes is not None:
-            out = grid.project_scalar(out, n_modes)
-        return out
-
-    return apply_a
+    return lambda w: grid.project_scalar(
+        grid.leray_project(grid.to_spectral(rho_vals * grid.to_grid(w))), n_modes)
 
 
-def solve_mu(grid: TorusGrid, phi, rho: DensityField, model: AnisotropyModel,
-             spec: PotentialSpec, *, n_modes=None, x0=None) -> np.ndarray:
+def solve_mu(problem: Problem, phi, rho: DensityField, *, x0=None) -> np.ndarray:
     """Chemical potential from the density-weighted Galerkin identity:
     (rho mu, w) = (aniso-flux(grad phi), grad w) + (rho F_eps'(phi), w)
-    for every retained test mode w."""
+    for every test mode w of the problem's phi space. x0, a potential
+    of a nearby state, starts the mass solve."""
+    grid, n_modes = problem.grid, problem.n_modes_phi
     rho_vals = rho.values
     phig = grid.to_grid(phi)
     gphi = grid.grad(phi)
     gphi_vals = grid.to_grid(gphi)
-    xi = xi_cap(model, np.moveaxis(gphi_vals, 0, -1))
+    xi = xi_cap(problem.model, np.moveaxis(gphi_vals, 0, -1))
     flux = grid.to_spectral(np.moveaxis(xi, -1, 0))
-    b = -grid.div(flux) + grid.to_spectral(rho_vals * f_eps_prime(spec, phig))
-    if n_modes is not None:
-        b = grid.project_scalar(b, n_modes)
+    b = -grid.div(flux) + grid.to_spectral(rho_vals * f_eps_prime(problem.spec, phig))
+    b = grid.project_scalar(b, n_modes)
     rho_bar = float(rho_vals.mean())
-    start = x0 if x0 is not None else b / rho_bar
-    if n_modes is not None:
-        start = grid.project_scalar(start, n_modes)
+    start = grid.project_scalar(x0 if x0 is not None else b / rho_bar, n_modes)
     return _cg(_scalar_mass_apply(grid, rho_vals, n_modes), b, start, DEFAULT_RTOL, "potential")
 
 
 # --- right-hand sides --------------------------------------------------------
 
-def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi, start):
+def _assemble(problem, state, frozen, start):
     """Shared weak-form assembly. frozen is None for the self-consistent
     system, or the pair (u~, phi~) that sets the advection velocity, the
     transported and capillary gradients and the material coefficients
     of the linearized one. start is None, for the starts b / rho_bar of
     the two mass solves, or a derivative pair to start them from."""
+    grid, laws, n_u, n_phi = problem.grid, problem.laws, problem.n_modes_u, problem.n_modes_phi
     rho_vals, u, phi = state.rho.values, state.u, state.phi
     ug = grid.to_grid(u)
     phig = grid.to_grid(phi)
@@ -320,7 +310,7 @@ def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi, start):
     # velocity gradients d_j u_i on the grid, as du[i, j]
     du = grid.to_grid(np.stack([grid.grad(u[0]), grid.grad(u[1])]))
 
-    fpr = f_eps_prime(spec, phig)
+    fpr = f_eps_prime(problem.spec, phig)
     b_u = np.empty((2,) + grid.n_grid, dtype=complex)
     for i in range(2):
         conv = rho_vals * (advg[0] * du[i, 0] + advg[1] * du[i, 1])
@@ -330,43 +320,36 @@ def _assemble(grid, state, frozen, laws, spec, n_modes_u, n_modes_phi, start):
         stress_div = grid.div(grid.to_spectral(np.stack([s_i0, s_i1])))
         force = rho_vals * (mug * gfrozen_vals[i] - fpr * gphi_vals[i])
         b_u[i] = -grid.to_spectral(conv) + stress_div + grid.to_spectral(force)
-    b_u = grid.leray_project(b_u)
-    if n_modes_u is not None:
-        b_u = grid.project_scalar(b_u, n_modes_u)
+    b_u = grid.project_scalar(grid.leray_project(b_u), n_u)
 
     rho_bar = float(rho_vals.mean())
     du0 = grid.leray_project(b_u / rho_bar) if start is None else start[0]
-    dudt = _cg(_vector_mass_apply(grid, rho_vals, n_modes_u), b_u, du0, DEFAULT_RTOL, "velocity")
+    dudt = _cg(_vector_mass_apply(grid, rho_vals, n_u), b_u, du0, DEFAULT_RTOL, "velocity")
 
     gmu_vals = grid.to_grid(grid.grad(state.mu))
     conv_phi = rho_vals * (ug[0] * gfrozen_vals[0] + ug[1] * gfrozen_vals[1])
     flux = grid.div(grid.to_spectral(dd * gmu_vals))
-    b_phi = -grid.to_spectral(conv_phi) + flux
-    if n_modes_phi is not None:
-        b_phi = grid.project_scalar(b_phi, n_modes_phi)
+    b_phi = grid.project_scalar(-grid.to_spectral(conv_phi) + flux, n_phi)
     dphi0 = b_phi / rho_bar if start is None else start[1]
-    dphidt = _cg(_scalar_mass_apply(grid, rho_vals, n_modes_phi), b_phi, dphi0, DEFAULT_RTOL, "concentration")
+    dphidt = _cg(_scalar_mass_apply(grid, rho_vals, n_phi), b_phi, dphi0, DEFAULT_RTOL, "concentration")
     return dudt, dphidt
 
 
-def rhs(grid: TorusGrid, state: FlowState, laws: MaterialLaws,
-        spec: PotentialSpec, *, n_modes_u=None, n_modes_phi=None, start=None):
-    """Self-consistent Galerkin time derivatives (du/dt, dphi/dt).
+def rhs(problem: Problem, state: FlowState, *, start=None):
+    """Self-consistent Galerkin time derivatives (du/dt, dphi/dt) in the
+    problem's Galerkin spaces.
 
-    start=(du0, dphi0), a derivative pair of a nearby state in the same
-    truncation, starts the two mass solves; it moves the result only
+    start=(du0, dphi0), a derivative pair of a nearby state of the same
+    problem, starts the two mass solves; it moves the result only
     within the solver tolerance."""
-    return _assemble(grid, state, None, laws, spec, n_modes_u, n_modes_phi, start)
+    return _assemble(problem, state, None, start)
 
 
-def linearized_rhs(grid: TorusGrid, state: FlowState, frozen_u, frozen_phi,
-                   laws: MaterialLaws, spec: PotentialSpec, *, n_modes_u=None,
-                   n_modes_phi=None, start=None):
+def linearized_rhs(problem: Problem, state: FlowState, frozen_u, frozen_phi, *, start=None):
     """Time derivatives with advection velocity, transported gradient,
     material coefficients and capillary gradient frozen at (u~, phi~);
     the potential gradient keeps the current phi. start is as in rhs."""
-    return _assemble(grid, state, (frozen_u, frozen_phi), laws, spec,
-                     n_modes_u, n_modes_phi, start)
+    return _assemble(problem, state, (frozen_u, frozen_phi), start)
 
 
 # --- time stepping -----------------------------------------------------------
@@ -381,7 +364,7 @@ def _check_finite(t, name, arr):
 
 
 def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRecord,
-             slope, n_modes_phi, seeds=None):
+             slope, seeds=None):
     """One classical RK4 step of (u, phi) from state over [t, t + h].
 
     k1 is the derivative pair (du/dt, dphi/dt) at state; slope(FlowState,
@@ -397,6 +380,7 @@ def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRec
     the same step returned; then each stage starts all three solves from
     its match there.
 
+    Every potential is solved in the problem's Galerkin space of phi.
     Returns (end_state, stages): the end-of-step state, its potential
     solved afresh, and the (mu, (du/dt, dphi/dt)) of s2, s3 and s4 followed
     by (end_state.mu, None). Raises BlowUpError on a non-finite stage or
@@ -417,9 +401,7 @@ def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRec
     def stage(tau, u_c, phi_c, rho_c, mu_start):
         _check_finite(tau, "velocity", u_c)
         _check_finite(tau, "order_parameter", phi_c)
-        mu_c = solve_mu(g, phi_c, rho_c, problem.model, problem.spec,
-                        n_modes=n_modes_phi, x0=mu_start)
-        return FlowState(tau, u_c, phi_c, rho_c, mu_c)
+        return FlowState(tau, u_c, phi_c, rho_c, solve_mu(problem, phi_c, rho_c, x0=mu_start))
 
     _check_finite(t, "velocity", state.u)
     _check_finite(t, "order_parameter", state.phi)
@@ -450,11 +432,9 @@ def step(problem: Problem, state: FlowState, cfg: StepperConfig, *,
     and the returned end derivatives from that end slope."""
     h = cfg.dt if dt is None else dt
     check_dt(problem, cfg, h)
-    nmp = cfg.n_modes_phi
 
     def slope(st, start=None):
-        return rhs(problem.grid, st, problem.laws, problem.spec,
-                   n_modes_u=cfg.n_modes_u, n_modes_phi=nmp, start=start)
+        return rhs(problem, st, start=start)
 
     # stage 1 shares the state's own (consistent) chemical potential
     k1 = deriv0 if deriv0 is not None else slope(state)
@@ -462,14 +442,14 @@ def step(problem: Problem, state: FlowState, cfg: StepperConfig, *,
     # pass 0: predictor with a linear velocity model
     linear = np.zeros((4,) + state.u.shape, dtype=complex)
     linear[0], linear[1] = state.u, h * k1[0]
-    pred, stages = rk4_step(problem, state, h, k1, StepRecord(state.t, h, linear), slope, nmp)
+    pred, stages = rk4_step(problem, state, h, k1, StepRecord(state.t, h, linear), slope)
     del linear  # pass 1 holds no record of pass 0
     end_slope = slope(pred, stages[2][1])
 
     # pass 1: corrector with the cubic velocity model
     new_state, _ = rk4_step(
         problem, state, h, k1,
-        StepRecord.hermite(state.t, h, state.u, k1[0], pred.u, end_slope[0]), slope, nmp, stages,
+        StepRecord.hermite(state.t, h, state.u, k1[0], pred.u, end_slope[0]), slope, stages,
     )
     del stages  # pass 1 was their only reader
     return new_state, slope(new_state, end_slope)
@@ -487,7 +467,7 @@ def run(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     the given step cadence (the initial and final states always)."""
     if cadence < 1:
         raise DomainError("cadence must be >= 1")
-    state = problem.initial_state(u0_grid, phi0_grid, cfg)
+    state = problem.initial_state(u0_grid, phi0_grid)
     for sink in sinks:
         sink(state)
     deriv = None

@@ -140,15 +140,8 @@ def lambda_map(problem: Problem, frozen: FrozenPair, u0_grid, phi0_grid,
     check_dt(problem, cfg, cfg.dt)
     g = problem.grid
     h = frozen.dt
-    state = problem.initial_state(u0_grid, phi0_grid, cfg)
-
-    def slope(st, u_tilde, phi_tilde, start=None):
-        return linearized_rhs(
-            g, st, u_tilde, phi_tilde, problem.laws, problem.spec,
-            n_modes_u=cfg.n_modes_u, n_modes_phi=cfg.n_modes_phi, start=start,
-        )
-
-    k1 = slope(state, frozen.u[0], frozen.phi[0])
+    state = problem.initial_state(u0_grid, phi0_grid)
+    k1 = linearized_rhs(problem, state, frozen.u[0], frozen.phi[0])
     us, dus = [state.u], [k1[0]]
     phis, dphis = [state.phi], [k1[1]]
     states = [state]
@@ -158,11 +151,11 @@ def lambda_map(problem: Problem, frozen: FrozenPair, u0_grid, phi0_grid,
         # frozen pair's cubic models at their own times
         state, stages = rk4_step(
             problem, state, h, k1, urec,
-            lambda st, start: slope(st, urec.coef_at(st.t), prec.coef_at(st.t), start),
-            cfg.n_modes_phi,
+            lambda st, start: linearized_rhs(problem, st, urec.coef_at(st.t), prec.coef_at(st.t),
+                                             start=start),
         )
         # the next step's k1 starts from this step's stage-4 derivative
-        k1 = slope(state, frozen.u[k + 1], frozen.phi[k + 1], stages[2][1])
+        k1 = linearized_rhs(problem, state, frozen.u[k + 1], frozen.phi[k + 1], start=stages[2][1])
         del stages
         us.append(state.u)
         dus.append(k1[0])
@@ -235,7 +228,7 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     if n_steps < 1 or abs(n_steps * cfg.dt - t_tilde) > 1e-9 * max(cfg.dt, t_tilde):
         raise DomainError("horizon must be a positive integer multiple of dt")
     g = problem.grid
-    state0 = problem.initial_state(u0_grid, phi0_grid, cfg)
+    state0 = problem.initial_state(u0_grid, phi0_grid)
     if tol_r is None:
         e0 = energy_report(g, state0, problem.laws, problem.model, problem.spec).e_total
         tol_r = 1e-8 * abs(e0)

@@ -15,6 +15,7 @@ has strictly positive curvature.
 All evaluators are vectorized and accept scalars or arrays.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,98 +58,97 @@ def _as_array(s):
     return s
 
 
-def _ret(out, scalar):
-    return float(out) if scalar else out
+def _elementwise(fn):
+    """fn(spec, s) on s as a finite float array; a scalar s gives a float."""
+    @functools.wraps(fn)
+    def wrapped(spec, s):
+        out = fn(spec, _as_array(s))
+        return float(out) if np.ndim(s) == 0 else out
+    return wrapped
+
+
+def _g(l2, t):
+    """G at t in (-1, 1), for l2 = lambda2."""
+    return 0.5 * l2 * ((1 + t) * np.log((1 + t) / 2) + (1 - t) * np.log((1 - t) / 2))
 
 
 # --- the singular potential on (-1, 1) -------------------------------------
 
+def _inside(s):
+    if np.any(np.abs(s) >= 1.0):
+        raise DomainError("logarithmic potential is defined for |s| < 1")
+    return s
+
+
+@_elementwise
 def g_log(spec, s):
-    scalar = np.ndim(s) == 0
-    s = _as_array(s)
-    if np.any(np.abs(s) >= 1.0):
-        raise DomainError("logarithmic potential is defined for |s| < 1")
-    out = 0.5 * spec.lambda2 * ((1 + s) * np.log((1 + s) / 2) + (1 - s) * np.log((1 - s) / 2))
-    return _ret(out, scalar)
+    return _g(spec.lambda2, _inside(s))
 
 
+@_elementwise
 def g_log_prime(spec, s):
-    scalar = np.ndim(s) == 0
-    s = _as_array(s)
-    if np.any(np.abs(s) >= 1.0):
-        raise DomainError("logarithmic potential is defined for |s| < 1")
-    return _ret(0.5 * spec.lambda2 * np.log((1 + s) / (1 - s)), scalar)
+    s = _inside(s)
+    return 0.5 * spec.lambda2 * np.log((1 + s) / (1 - s))
 
 
+@_elementwise
 def g_log_second(spec, s):
-    scalar = np.ndim(s) == 0
-    s = _as_array(s)
-    if np.any(np.abs(s) >= 1.0):
-        raise DomainError("logarithmic potential is defined for |s| < 1")
-    return _ret(spec.lambda2 / (1 - s * s), scalar)
+    s = _inside(s)
+    return spec.lambda2 / (1 - s * s)
 
 
+@_elementwise
 def f_log(spec, s):
-    scalar = np.ndim(s) == 0
-    out = 0.5 * spec.lambda1 * (1 - _as_array(s) ** 2) + g_log(spec, s)
-    return _ret(out, scalar)
+    return 0.5 * spec.lambda1 * (1 - s ** 2) + g_log(spec, s)
 
 
+@_elementwise
 def f_log_prime(spec, s):
-    scalar = np.ndim(s) == 0
-    out = -spec.lambda1 * _as_array(s) + g_log_prime(spec, s)
-    return _ret(out, scalar)
+    return -spec.lambda1 * s + g_log_prime(spec, s)
 
 
 # --- the C^2 extension ------------------------------------------------------
 
-def _g_eps_pieces(spec, s):
-    """(value, first, second) of the extended convex part at |s|-points t.
-
-    Interior |s| <= knot: G itself. Outside: Taylor about the knot,
-    evaluated with the sign symmetry G(-s) = G(s).
-    """
-    a = spec.knot
+def _branches(spec, s):
+    """G is kept for |s| <= knot and replaced outside by its Taylor
+    polynomial about the knot, by the symmetry G(-s) = G(s). Returns the
+    interior mask, |s| there and 0 outside it (where the logs stay
+    finite), and the offset |s| - knot of the outer branch."""
     t = np.abs(s)
-    sign = np.sign(s)
-    inner = t <= a
-    # interior values (evaluate logs only where valid)
-    ti = np.where(inner, t, 0.0)
-    gi = 0.5 * spec.lambda2 * ((1 + ti) * np.log((1 + ti) / 2) + (1 - ti) * np.log((1 - ti) / 2))
-    gpi = 0.5 * spec.lambda2 * np.log((1 + ti) / (1 - ti))
-    gsi = spec.lambda2 / (1 - ti * ti)
-    # outer Taylor data at the knot
-    ga = 0.5 * spec.lambda2 * ((2 - spec.eps) * np.log((2 - spec.eps) / 2) + spec.eps * np.log(spec.eps / 2))
-    gpa = 0.5 * spec.lambda2 * np.log((2 - spec.eps) / spec.eps)
-    gsa = spec.lambda2 / (spec.eps * (2 - spec.eps))
-    d = t - a
-    go = ga + gpa * d + 0.5 * gsa * d * d
-    gpo = gpa + gsa * d
-    val = np.where(inner, gi, go)
-    first = sign * np.where(inner, gpi, gpo)
-    second = np.where(inner, gsi, gsa)
-    return val, first, second
+    inner = t <= spec.knot
+    return inner, np.where(inner, t, 0.0), t - spec.knot
 
 
+# G' and G'' at the knot
+def _knot_first(spec):
+    return 0.5 * spec.lambda2 * np.log((2 - spec.eps) / spec.eps)
+
+
+def _knot_second(spec):
+    return spec.lambda2 / (spec.eps * (2 - spec.eps))
+
+
+@_elementwise
 def f_eps(spec, s):
-    scalar = np.ndim(s) == 0
-    s = _as_array(s)
-    val, _, _ = _g_eps_pieces(spec, s)
-    return _ret(0.5 * spec.lambda1 * (1 - s * s) + val, scalar)
+    inner, ti, d = _branches(spec, s)
+    eps = spec.eps
+    ga = 0.5 * spec.lambda2 * ((2 - eps) * np.log((2 - eps) / 2) + eps * np.log(eps / 2))
+    go = ga + _knot_first(spec) * d + 0.5 * _knot_second(spec) * d * d
+    return 0.5 * spec.lambda1 * (1 - s * s) + np.where(inner, _g(spec.lambda2, ti), go)
 
 
+@_elementwise
 def f_eps_prime(spec, s):
-    scalar = np.ndim(s) == 0
-    s = _as_array(s)
-    _, first, _ = _g_eps_pieces(spec, s)
-    return _ret(-spec.lambda1 * s + first, scalar)
+    inner, ti, d = _branches(spec, s)
+    gpo = _knot_first(spec) + _knot_second(spec) * d
+    gpi = 0.5 * spec.lambda2 * np.log((1 + ti) / (1 - ti))
+    return -spec.lambda1 * s + np.sign(s) * np.where(inner, gpi, gpo)
 
 
+@_elementwise
 def f_eps_second(spec, s):
-    scalar = np.ndim(s) == 0
-    s = _as_array(s)
-    _, _, second = _g_eps_pieces(spec, s)
-    return _ret(-spec.lambda1 + second, scalar)
+    inner, ti, _ = _branches(spec, s)
+    return -spec.lambda1 + np.where(inner, spec.lambda2 / (1 - ti * ti), _knot_second(spec))
 
 
 def f_eps_min(spec, n_scan: int = 20001, s_max: float = 4.0) -> float:
@@ -170,7 +170,7 @@ def f_eps_min(spec, n_scan: int = 20001, s_max: float = 4.0) -> float:
                     hi = mid
             m = min(m, float(f_eps(spec, 0.5 * (lo + hi))))
     # the outer branch is an upward parabola; include its exact vertex
-    curv = -spec.lambda1 + spec.lambda2 / (spec.eps * (2 - spec.eps))
+    curv = -spec.lambda1 + _knot_second(spec)
     if curv > 0:
         a = spec.knot
         slope_a = f_eps_prime(spec, a)
@@ -187,8 +187,7 @@ def quadratic_growth_constants(spec, s_max: float = 50.0):
     is located by scanning F_eps(s) - m_eps s^2 for its last sign
     change and bisecting.
     """
-    gsa = spec.lambda2 / (spec.eps * (2 - spec.eps))
-    lead = 0.5 * (gsa - spec.lambda1)  # s^2 coefficient of the outer branch
+    lead = 0.5 * (_knot_second(spec) - spec.lambda1)  # s^2 coefficient of the outer branch
     if lead <= 0:
         raise DomainError(
             "outer branch of the extension is not convex; "

@@ -21,7 +21,8 @@ Layout (all little-endian):
 
 Coefficients are stored in the grid's canonical mode order (ascending
 squared wavenumber, lexicographic ties), so files written for the same
-grid are comparable mode by mode; the counts are among the grid's
+grid are comparable mode by mode. ``write_snapshot`` stores the whole
+band; the reader takes any counts among the grid's
 ``valid_mode_counts``. A write -> read -> write cycle is byte-identical.
 """
 
@@ -60,27 +61,21 @@ def _gather(grid, coef, count):
     return np.ascontiguousarray(coef.ravel()[grid.mode_order[:count]], dtype="<c16")
 
 
-def write_snapshot(target, grid: TorusGrid, state, *, n_modes_u=None, n_modes_phi=None):
-    """Write one state to a path or binary file object."""
-    nu = grid.n_band_modes if n_modes_u is None else int(n_modes_u)
-    np_ = grid.n_band_modes if n_modes_phi is None else int(n_modes_phi)
-    if not (1 <= nu <= grid.n_band_modes and 1 <= np_ <= grid.n_band_modes):
-        raise DomainError(
-            f"mode counts must lie in [1, {grid.n_band_modes}], got {nu}, {np_}"
-        )
-    grid.check_mode_count(nu)
-    grid.check_mode_count(np_)
+def write_snapshot(target, grid: TorusGrid, state):
+    """Write one state, every mode of the retained band, to a path or
+    binary file object."""
+    n = grid.n_band_modes
     header = _HEADER.pack(
         MAGIC, VERSION, grid.n_grid[0], grid.n_grid[1],
         grid.lengths[0], grid.lengths[1],
-        state.rho.lo, state.rho.hi, nu, np_, state.t,
+        state.rho.lo, state.rho.hi, n, n, state.t,
     )
     blocks = [
         header,
         np.ascontiguousarray(state.rho.values, dtype="<f8").tobytes(),
-        _gather(grid, state.u[0], nu).tobytes(),
-        _gather(grid, state.u[1], nu).tobytes(),
-        _gather(grid, state.phi, np_).tobytes(),
+        _gather(grid, state.u[0], n).tobytes(),
+        _gather(grid, state.u[1], n).tobytes(),
+        _gather(grid, state.phi, n).tobytes(),
     ]
     payload = b"".join(blocks)
     if hasattr(target, "write"):

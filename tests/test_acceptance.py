@@ -113,7 +113,7 @@ def deepwell_ladder():
     grid = base.grid()
     problem = base.problem()
     u0, phi0 = base.initial_fields(grid)
-    st0 = problem.initial_state(u0, phi0, base.stepper())
+    st0 = problem.initial_state(u0, phi0)
     phi_vals = grid.to_grid(st0.phi)
     rep0 = diagnostics.energy_report(grid, st0, base.laws, base.model, base.spec)
     e_unreg = rep0.e_kin + rep0.e_surf + grid.quadrature(
@@ -136,7 +136,7 @@ def picard16():
     run(problem, u0, phi0, dataclasses.replace(cfg, t_end=0.05).stepper(),
         sinks=[lambda st: states.append((st.t, st.u.copy(), st.phi.copy()))])
     e0 = diagnostics.energy_report(
-        grid, problem.initial_state(u0, phi0, cfg.stepper()),
+        grid, problem.initial_state(u0, phi0),
         cfg.laws, cfg.model, cfg.spec).e_total
     return grid, rep, states, tol, e0, time.time() - t0
 
@@ -219,7 +219,7 @@ def test_criterion_03_linear_physics():
     u0 = np.stack([np.zeros(grid.n_grid), amp * np.cos(grid.mesh[0])])
     phi0 = phi_constant(grid, 0.0)
     summary = run(problem, u0, phi0, cfg.stepper())
-    init = problem.initial_state(u0, phi0, cfg.stepper())
+    init = problem.initial_state(u0, phi0)
     stokes_err = float(np.max(np.abs(
         summary.final_state.u - math.exp(-nu * 0.5) * init.u)))
     stokes_ok = stokes_err < 1e-6 * amp
@@ -242,7 +242,7 @@ def test_criterion_03_linear_physics():
     phi0 = phi_modes(grid2, [(1, 0, amp2 / 2, 0.0)])
     u0 = np.zeros((2,) + grid2.n_grid)
     summary2 = run(problem2, u0, phi0, cfg2.stepper())
-    init2 = problem2.initial_state(u0, phi0, cfg2.stepper())
+    init2 = problem2.initial_state(u0, phi0)
     ratio = (summary2.final_state.phi[1, 0] / init2.phi[1, 0]).real
     sigma_obs = math.log(ratio) / 0.5
     fpp0 = -spec.lambda1 + spec.lambda2

@@ -199,6 +199,7 @@ def test_project_scalar_identity_and_truncation():
     coef = grid.to_spectral(random_band_field(grid, rng))
     full = grid.project_scalar(coef, grid.n_band_modes)
     assert np.max(np.abs(full - coef)) == 0.0
+    assert grid.project_scalar(coef, None) is coef  # None is the whole band
     one = grid.project_scalar(coef, 1)
     nz = np.flatnonzero(np.abs(one.ravel()) > 0)
     assert list(nz) == [0]  # only the zero mode survives

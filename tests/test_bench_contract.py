@@ -60,7 +60,7 @@ def _names_under(recorded, root_name):
 def test_traced_step_and_lambda_map_record_every_layer(bench):
     spans, workloads = bench
     problem, u0, phi0, cfg = _setup()
-    state = problem.initial_state(u0, phi0, cfg)
+    state = problem.initial_state(u0, phi0)
     frozen = constant_pair(problem.grid, state.u, state.phi, 0.0, cfg.dt, 2)
     rec = spans.Recorder()
     with spans.patched(workloads._trace_targets(rec)):

@@ -64,8 +64,7 @@ def collect_reports(problem, u0, phi0, cfg, cadence=1):
 def test_energy_report_constant_state():
     pb = make_problem(rho=ConstantDensity(1.5))
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
-    st = pb.initial_state(u_zero(g), phi_constant(g, 0.3), cfg)
+    st = pb.initial_state(u_zero(g), phi_constant(g, 0.3))
     rep = report_of(pb, st)
     fval = f_eps(pb.spec, 0.3)
     assert rep.e_kin == pytest.approx(0.0, abs=1e-15)
@@ -85,9 +84,8 @@ def test_energy_report_kinetic_closed_form():
     # int |u|^2 = a^2 |Omega| / 2, so e_kin = a^2 |Omega| / 2.
     pb = make_problem(rho=ConstantDensity(2.0))
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
     a = 0.7
-    st = pb.initial_state(u_taylor_green(g, a), phi_constant(g, 0.0), cfg)
+    st = pb.initial_state(u_taylor_green(g, a), phi_constant(g, 0.0))
     rep = report_of(pb, st)
     assert rep.e_kin == pytest.approx(a * a * AREA / 2.0, rel=1e-12)
     # cross-check against the Parseval identity on the coefficients
@@ -99,8 +97,7 @@ def test_energy_report_surface_closed_form():
     # phi = cos(kappa x), identity form: e_surf = kappa^2 |Omega| / 4
     pb = make_problem(model=quadratic_form(np.eye(2)), rho=ConstantDensity(1.0))
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
-    st = pb.initial_state(u_zero(g), phi_modes(g, [(2, 0, 0.5, 0.0)]), cfg)
+    st = pb.initial_state(u_zero(g), phi_modes(g, [(2, 0, 0.5, 0.0)]))
     rep = report_of(pb, st)
     assert rep.e_surf == pytest.approx(4.0 * AREA / 4.0, rel=1e-12)
 
@@ -108,9 +105,8 @@ def test_energy_report_surface_closed_form():
 def test_energy_report_potential_profile_weighted():
     pb = make_problem()
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
     c = -0.4
-    st = pb.initial_state(u_zero(g), phi_constant(g, c), cfg)
+    st = pb.initial_state(u_zero(g), phi_constant(g, c))
     rep = report_of(pb, st)
     # the sinusoidal density integrates to base * area
     assert rep.mass_rho == pytest.approx(1.5 * AREA, rel=1e-12)
@@ -121,10 +117,9 @@ def test_energy_report_potential_profile_weighted():
 def test_dissipation_stress_identity_and_signs():
     pb = make_problem()
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
     u0 = u_random_solenoidal(g, seed=7, kmax=3, amplitude=0.4)
     phi0 = phi_band_random(g, seed=8, kmax=2, amplitude=0.3, mean=0.1)
-    st = pb.initial_state(u0, phi0, cfg)
+    st = pb.initial_state(u0, phi0)
     rep = report_of(pb, st)
     # S : grad u equals twice the squared symmetrized gradient
     du = np.empty((2, 2) + g.n_grid)
@@ -147,9 +142,8 @@ def test_dissipation_stress_identity_and_signs():
 def test_energy_components_lower_bounds():
     pb = make_problem()
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
     phi0 = phi_band_random(g, seed=3, kmax=2, amplitude=0.5, mean=-0.05)
-    st = pb.initial_state(u_taylor_green(g, 0.3), phi0, cfg)
+    st = pb.initial_state(u_taylor_green(g, 0.3), phi0)
     rep = report_of(pb, st)
     assert rep.e_kin >= 0 and rep.e_surf >= 0
     assert rep.d_visc >= 0 and rep.d_diff >= 0
@@ -166,8 +160,7 @@ def test_energy_components_lower_bounds():
 def test_energy_residual_needs_two_samples():
     pb = make_problem(rho=ConstantDensity(1.0))
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
-    st = pb.initial_state(u_zero(g), phi_constant(g, 0.1), cfg)
+    st = pb.initial_state(u_zero(g), phi_constant(g, 0.1))
     rep = report_of(pb, st)
     with pytest.raises(DomainError):
         energy_law_residual([rep], 1e-3)

@@ -4,6 +4,7 @@ import pytest
 from achns import dynamics
 from achns.anisotropy import quadratic_form, taylor_cahn
 from achns.basis import TorusGrid
+from achns.config import parse_config
 from achns.dynamics import (
     FlowState,
     MaterialLaws,
@@ -41,18 +42,18 @@ TWO_PI = 2 * np.pi
 BOX = (TWO_PI, TWO_PI)
 
 
-def make_problem(n=16, model=None, spec=None, laws=None, rho=None):
+def make_problem(n=16, model=None, spec=None, laws=None, rho=None, n_modes_u=None,
+                 n_modes_phi=None):
     grid = TorusGrid(BOX, (n, n))
     model = model if model is not None else quadratic_form([[1.2, -0.1], [-0.1, 1.0]])
     spec = spec if spec is not None else PotentialSpec(1.0, 0.5, 0.1)
     laws = laws if laws is not None else MaterialLaws(0.12, 0.08, 0.01, 0.015)
     rho = rho if rho is not None else SinusoidalDensity(1.5, 0.5, BOX, 1, 1)
-    return Problem(grid, model, spec, laws, rho)
+    return Problem(grid, model, spec, laws, rho, n_modes_u, n_modes_phi)
 
 
-def make_state(problem, u_grid, phi_grid, cfg=None):
-    cfg = cfg or StepperConfig(dt=1e-3, t_end=1e-3)
-    return problem.initial_state(u_grid, phi_grid, cfg)
+def make_state(problem, u_grid, phi_grid):
+    return problem.initial_state(u_grid, phi_grid)
 
 
 def slow_eval(grid, coef, d1=0, d2=0):
@@ -248,7 +249,7 @@ def test_solve_mu_zero_field_exact_zero():
     g = prob.grid
     rho = density_from_displacement(prob.rho0, g, None)
     phi = g.to_spectral(phi_constant(g, 0.0))
-    mu = solve_mu(g, phi, rho, prob.model, prob.spec)
+    mu = solve_mu(prob, phi, rho)
     assert np.all(mu == 0.0)
 
 
@@ -258,7 +259,7 @@ def test_solve_mu_constant_state():
     rho = density_from_displacement(prob.rho0, g, None)
     c = 0.3
     phi = g.to_spectral(phi_constant(g, c))
-    mu = solve_mu(g, phi, rho, prob.model, prob.spec)
+    mu = solve_mu(prob, phi, rho)
     expected = f_eps_prime(prob.spec, c)
     assert np.max(np.abs(g.to_grid(mu) - expected)) < 1e-9
 
@@ -271,7 +272,7 @@ def test_solve_mu_small_amplitude_linearization():
     rho = density_from_displacement(prob.rho0, g, None)
     amp = 1e-3
     phi = g.to_spectral(phi_modes(g, [(1, 1, amp / 2, 0.0)]))
-    mu = solve_mu(g, phi, rho, prob.model, prob.spec)
+    mu = solve_mu(prob, phi, rho)
     k_m_k = 1.2 - 0.1 - 0.1 + 1.0
     fpp0 = -prob.spec.lambda1 + prob.spec.lambda2
     expected = (fpp0 + k_m_k) * phi
@@ -292,7 +293,7 @@ def test_solve_mu_anisotropic_flux_identity():
     rho = density_from_displacement(prob.rho0, g, None)
     phi_grid_vals = phi_modes(g, [(1, 1, 0.0, -0.25)])  # 0.5 sin(x+y)
     phi = g.to_spectral(phi_grid_vals)
-    mu = solve_mu(g, phi, rho, prob.model, prob.spec)
+    mu = solve_mu(prob, phi, rho)
     flux_part = mu - g.to_spectral(f_eps_prime(prob.spec, phi_grid_vals))
     assert np.max(np.abs(flux_part - 4.0 * phi)) < 1e-12
 
@@ -304,9 +305,10 @@ def test_solve_mu_weak_identity_quadrature():
     model = quadratic_form([[1.3, -0.2], [-0.2, 0.9]])
     spec = PotentialSpec(1.0, 0.5, 0.1)
     rho0 = SinusoidalDensity(1.5, 0.4, BOX, 1, 0)
+    prob = Problem(g, model, spec, MaterialLaws(0.12, 0.08, 0.01, 0.015), rho0)
     rho = density_from_displacement(rho0, g, None)
     phi = g.to_spectral(phi_band_random(g, seed=7, kmax=2, amplitude=0.4, mean=0.1))
-    mu = solve_mu(g, phi, rho, model, spec)
+    mu = solve_mu(prob, phi, rho)
 
     X, Y = g.mesh
     mu_vals = slow_eval(g, mu)
@@ -343,7 +345,7 @@ def test_rhs_equilibrium_exact_zero():
     mu = np.zeros(g.n_grid, dtype=complex)
     mu[0, 0] = f_eps_prime(prob.spec, c)
     state = FlowState(0.0, u, phi, rho, mu)
-    du, dphi = rhs(g, state, prob.laws, prob.spec)
+    du, dphi = rhs(prob, state)
     assert np.all(du == 0.0)
     assert np.all(dphi == 0.0)
 
@@ -365,7 +367,7 @@ def test_rhs_stokes_single_mode():
     phi = g.to_spectral(phi_constant(g, 0.0))
     mu = np.zeros(g.n_grid, dtype=complex)
     state = FlowState(0.0, u, phi, rho, mu)
-    du, dphi = rhs(g, state, prob.laws, prob.spec)
+    du, dphi = rhs(prob, state)
     assert np.max(np.abs(du - (-nu) * u)) < 1e-12 * amp
     assert np.all(dphi == 0.0)
 
@@ -385,9 +387,9 @@ def test_rhs_spinodal_growth_rate():
     amp = 1e-3
     phi = g.to_spectral(phi_modes(g, [(1, 0, amp / 2, 0.0)]))
     u = np.zeros((2,) + g.n_grid, dtype=complex)
-    mu = solve_mu(g, phi, rho, prob.model, spec)
+    mu = solve_mu(prob, phi, rho)
     state = FlowState(0.0, u, phi, rho, mu)
-    du, dphi = rhs(g, state, prob.laws, spec)
+    du, dphi = rhs(prob, state)
     fpp0 = -2.0 + 0.5
     rate = -d0 * 1.0 * (fpp0 + 1.0)  # positive: instability
     assert rate > 0
@@ -396,31 +398,47 @@ def test_rhs_spinodal_growth_rate():
 
 
 def test_rhs_mode_projection():
-    prob = make_problem()
+    prob = make_problem(n_modes_u=9, n_modes_phi=9)
     g = prob.grid
-    cfg = StepperConfig(dt=1e-3, t_end=1e-3, n_modes_u=9, n_modes_phi=9)
     state = make_state(
         prob, u_taylor_green(g, 0.3),
-        phi_band_random(g, seed=3, kmax=2, amplitude=0.4), cfg,
+        phi_band_random(g, seed=3, kmax=2, amplitude=0.4),
     )
     assert np.array_equal(state.phi, g.project_scalar(state.phi, 9))
-    du, dphi = rhs(g, state, prob.laws, prob.spec,
-                   n_modes_u=9, n_modes_phi=9)
+    du, dphi = rhs(prob, state)
     assert np.array_equal(dphi, g.project_scalar(dphi, 9))
     for c in du:
         assert np.array_equal(c, g.project_scalar(c, 9))
     assert np.max(np.abs(g.div(du))) < 1e-12
 
 
+def test_config_mode_counts_reach_the_run():
+    # [time] n_modes_u / n_modes_phi set the Galerkin spaces the run
+    # integrates in, through RunConfig.problem()
+    text = "[domain]\nn1 = 16\nn2 = 16\n[time]\ndt = 0.004\nt_end = 0.008\n"
+    cfg = parse_config(text + "n_modes_u = 9\nn_modes_phi = 13\n")
+    whole = parse_config(text)
+    g = cfg.grid()
+    u0, phi0 = cfg.initial_fields(g)
+    out = run(cfg.problem(), u0, phi0, cfg.stepper())
+    assert out.n_steps == 2
+    fin = out.final_state
+    assert np.array_equal(fin.u, g.project_scalar(fin.u, 9))
+    assert np.array_equal(fin.phi, g.project_scalar(fin.phi, 13))
+    assert np.array_equal(fin.mu, g.project_scalar(fin.mu, 13))
+    ref = run(whole.problem(), u0, phi0, whole.stepper()).final_state
+    assert not np.array_equal(fin.phi, ref.phi)
+
+
 def test_truncated_steps_keep_every_field_exactly_hermitian():
     # to_grid reads the half plane k2 >= 0 alone, so a truncated run must
     # leave the coefficients of real fields, bit for bit
-    prob = make_problem(n=16)
+    prob = make_problem(n=16, n_modes_u=13, n_modes_phi=13)
     g = prob.grid
-    cfg = StepperConfig(dt=4e-3, t_end=0.012, n_modes_u=13, n_modes_phi=13)
+    cfg = StepperConfig(dt=4e-3, t_end=0.012)
     state = make_state(
         prob, u_taylor_green(g, 0.3),
-        phi_band_random(g, seed=3, kmax=2, amplitude=0.4), cfg,
+        phi_band_random(g, seed=3, kmax=2, amplitude=0.4),
     )
     deriv = None
     for _ in range(3):
@@ -439,11 +457,8 @@ def test_linearized_matches_rhs_when_frozen_is_current():
         prob, u_taylor_green(g, 0.3),
         phi_band_random(g, seed=5, kmax=2, amplitude=0.4, mean=-0.05),
     )
-    du_a, dphi_a = rhs(g, state, prob.laws, prob.spec)
-    du_b, dphi_b = linearized_rhs(
-        g, state, state.u.copy(), state.phi.copy(),
-        prob.laws, prob.spec,
-    )
+    du_a, dphi_a = rhs(prob, state)
+    du_b, dphi_b = linearized_rhs(prob, state, state.u.copy(), state.phi.copy())
     assert np.max(np.abs(du_a - du_b)) < 1e-14
     assert np.max(np.abs(dphi_a - dphi_b)) < 1e-14
 
@@ -460,8 +475,7 @@ def test_linearized_constant_frozen_phi_flux_only():
     frozen_phi_val = 0.2
     frozen_u = state.u.copy()
     frozen_phi = g.to_spectral(phi_constant(g, frozen_phi_val))
-    _, dphi = linearized_rhs(g, state, frozen_u, frozen_phi,
-                             prob.laws, prob.spec)
+    _, dphi = linearized_rhs(prob, state, frozen_u, frozen_phi)
     d_c = prob.laws.mobility(frozen_phi_val)
     expected = -d_c * g.k_sq * state.mu
     assert np.max(np.abs(dphi - expected)) < 1e-12
@@ -486,9 +500,9 @@ def test_linearized_rhs_quadrature_oracle():
         g.to_spectral(c) for c in u_random_solenoidal(g, seed=11, kmax=2, amplitude=0.3)
     ]))
     frozen_phi = g.to_spectral(phi_band_random(g, seed=13, kmax=2, amplitude=0.3, mean=0.1))
-    mu = solve_mu(g, phi, rho, model, spec)
+    mu = solve_mu(prob, phi, rho)
     state = FlowState(0.0, u, phi, rho, mu)
-    du, dphi = linearized_rhs(g, state, frozen_u, frozen_phi, laws, spec)
+    du, dphi = linearized_rhs(prob, state, frozen_u, frozen_phi)
 
     X, Y = g.mesh
     rv = rho.values
@@ -568,7 +582,7 @@ def test_step_equilibrium_fixed_point():
     prob = make_problem()
     g = prob.grid
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    state = make_state(prob, u_zero(g), phi_constant(g, 0.25), cfg)
+    state = make_state(prob, u_zero(g), phi_constant(g, 0.25))
     new, _ = step(prob, state, cfg)
     assert np.max(np.abs(new.u)) < 1e-14
     assert np.max(np.abs(new.phi - state.phi)) < 1e-14
@@ -579,8 +593,7 @@ def test_step_equilibrium_fixed_point():
 def test_rk4_step_stages_and_end_state():
     prob = make_problem(n=8)
     g = prob.grid
-    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    state = make_state(prob, u_zero(g), phi_band_random(g, seed=3, kmax=2, amplitude=0.3), cfg)
+    state = make_state(prob, u_zero(g), phi_band_random(g, seed=3, kmax=2, amplitude=0.3))
     state = FlowState(0.5, state.u, state.phi, state.rho, state.mu)
     h = 1e-3
     rng = np.random.default_rng(4)
@@ -595,7 +608,7 @@ def test_rk4_step_stages_and_end_state():
         return c_u, c_phi
 
     still = StepRecord(0.5, h, np.zeros((4,) + state.u.shape, dtype=complex))
-    new, stages = rk4_step(prob, state, h, (c_u, c_phi), still, slope, None)
+    new, stages = rk4_step(prob, state, h, (c_u, c_phi), still, slope)
     assert [st.t for st in seen] == [0.5 + h / 2, 0.5 + h / 2, 0.5 + h]
     # with no seeds, each stage's solves start from the previous stage's
     assert all(start[0] is c_u and start[1] is c_phi for start in starts)
@@ -613,15 +626,14 @@ def test_rk4_step_stages_and_end_state():
     assert np.max(np.abs(new.phi - (state.phi + h * c_phi))) < 1e-15
     # the stage potentials and the end one are solved for their own phi
     for st in seen[1:] + [new]:
-        fresh = solve_mu(g, st.phi, st.rho, prob.model, prob.spec)
+        fresh = solve_mu(prob, st.phi, st.rho)
         assert np.max(np.abs(fresh - st.mu)) <= 1e-9 * np.max(np.abs(fresh))
 
 
 def test_rk4_step_raises_on_a_non_finite_stage():
     prob = make_problem(n=8)
     g = prob.grid
-    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    state = make_state(prob, u_zero(g), phi_constant(g, 0.1), cfg)
+    state = make_state(prob, u_zero(g), phi_constant(g, 0.1))
     still = StepRecord(0.0, 1e-3, np.zeros((4,) + state.u.shape, dtype=complex))
     zero = (np.zeros_like(state.u), np.zeros_like(state.phi))
 
@@ -629,7 +641,7 @@ def test_rk4_step_raises_on_a_non_finite_stage():
         return np.full_like(state.u, np.nan), zero[1]
 
     with pytest.raises(BlowUpError) as exc:
-        rk4_step(prob, state, 1e-3, zero, still, slope, None)
+        rk4_step(prob, state, 1e-3, zero, still, slope)
     assert exc.value.field == "velocity"
     assert exc.value.t == pytest.approx(5e-4)
 
@@ -641,8 +653,8 @@ def test_step_starts_each_solve_from_the_nearest_solution(monkeypatch):
     g = prob.grid
     h = 0.5 * stability_bound(prob)
     cfg = StepperConfig(dt=h, t_end=h)
-    state = make_state(prob, u_taylor_green(g, 0.3), phi_band_random(g, seed=7, kmax=3, amplitude=0.3), cfg)
-    k1 = rhs(g, state, prob.laws, prob.spec)
+    state = make_state(prob, u_taylor_green(g, 0.3), phi_band_random(g, seed=7, kmax=3, amplitude=0.3))
+    k1 = rhs(prob, state)
     cg = dynamics._cg
     solves = []
 
@@ -681,7 +693,7 @@ def test_step_stokes_decay_closed_form():
     phi0 = phi_constant(g, 0.0)
     out = run(prob, u0, phi0, cfg)
     decay = np.exp(-nu * 1.0 * t_end)
-    init = make_state(prob, u0, phi0, cfg)
+    init = make_state(prob, u0, phi0)
     expected = decay * init.u
     err = np.max(np.abs(out.final_state.u - expected))
     assert err < 1e-6 * 0.4
@@ -723,7 +735,7 @@ def test_step_conservation_of_density_integrals():
     phi0 = phi_band_random(g, seed=21, kmax=2, amplitude=0.4, mean=-0.05)
     t_end = 0.2
     cfg = StepperConfig(dt=4e-3, t_end=t_end)
-    init = make_state(prob, u0, phi0, cfg)
+    init = make_state(prob, u0, phi0)
     out = run(prob, u0, phi0, cfg)
     fin = out.final_state
 
@@ -751,7 +763,7 @@ def test_step_divergence_free_and_mu_consistency():
     fin = out.final_state
     u_scale = np.max(np.abs(fin.u))
     assert np.max(np.abs(g.div(fin.u))) < 1e-11 * max(1.0, u_scale)
-    fresh = solve_mu(g, fin.phi, fin.rho, prob.model, prob.spec)
+    fresh = solve_mu(prob, fin.phi, fin.rho)
     rel = np.max(np.abs(fresh - fin.mu)) / np.max(np.abs(fresh))
     assert rel < 1e-9
 
@@ -761,7 +773,7 @@ def test_step_stability_guard():
     g = prob.grid
     bound = stability_bound(prob)
     cfg = StepperConfig(dt=1.2 * bound, t_end=1.2 * bound)
-    state = make_state(prob, u_zero(g), phi_constant(g, 0.1), cfg)
+    state = make_state(prob, u_zero(g), phi_constant(g, 0.1))
     with pytest.raises(StabilityError):
         step(prob, state, cfg)
     cfg_ok = StepperConfig(dt=1.2 * bound, t_end=1.2 * bound, allow_unstable_dt=True)

@@ -52,7 +52,7 @@ def demo16():
     report = picard(pb, u0, phi0, cfg, t_tilde=0.05, tol=tol, max_iter=25)
     states_nl = []
     run(pb, u0, phi0, cfg, sinks=[lambda s: states_nl.append(s)])
-    st0 = pb.initial_state(u0, phi0, cfg)
+    st0 = pb.initial_state(u0, phi0)
     e0 = energy_report(g, st0, pb.laws, pb.model, pb.spec).e_total
     return dict(pb=pb, u0=u0, phi0=phi0, cfg=cfg, tol=tol, report=report,
                 states_nl=states_nl, e0=e0)
@@ -85,8 +85,7 @@ def test_frozen_pair_validation():
 def test_constant_pair_records_are_steady():
     pb = make_problem(n=8, rho=ConstantDensity(1.2))
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
-    st = pb.initial_state(u_taylor_green(g, 0.2), phi_constant(g, 0.1), cfg)
+    st = pb.initial_state(u_taylor_green(g, 0.2), phi_constant(g, 0.1))
     pair = constant_pair(g, st.u, st.phi, 0.0, 1e-3, 4)
     assert pair.n_samples == 5
     urec, prec = pair.records(2)
@@ -101,12 +100,11 @@ def test_constant_pair_records_are_steady():
 def test_residual_zero_cases():
     pb = make_problem(n=8)
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
-    st = pb.initial_state(u_taylor_green(g, 0.3), phi_constant(g, 0.2), cfg)
+    st = pb.initial_state(u_taylor_green(g, 0.3), phi_constant(g, 0.2))
     assert residual_r_eps(g, st, st.u, pb.spec) == 0.0
     assert residual_r_eps(g, st, st.u.copy(), pb.spec) == 0.0
     pb_c = make_problem(n=8, rho=ConstantDensity(1.4))
-    st_c = pb_c.initial_state(u_taylor_green(g, 0.3), phi_constant(g, 0.2), cfg)
+    st_c = pb_c.initial_state(u_taylor_green(g, 0.3), phi_constant(g, 0.2))
     assert residual_r_eps(g, st_c, np.zeros_like(st_c.u), pb_c.spec) == 0.0
 
 
@@ -115,11 +113,10 @@ def test_residual_collocation_oracle():
     # remainder = sum_x F(0.3 sin x) * a * drho/dx * cell
     pb = make_problem(n=8, rho=SinusoidalDensity(1.5, 0.5, BOX, 1, 0))
     g = pb.grid
-    cfg = StepperConfig(dt=1e-3, t_end=0.0)
     a = 0.4
     u0 = np.stack([np.full(g.n_grid, a), np.zeros(g.n_grid)])
     phi0 = phi_modes(g, [(1, 0, 0.0, -0.15)])  # 0.3 sin x
-    st = pb.initial_state(u0, phi0, cfg)
+    st = pb.initial_state(u0, phi0)
     got = residual_r_eps(g, st, np.zeros_like(st.u), pb.spec)
     expected = 0.0
     for x in g.x1:
@@ -134,7 +131,7 @@ def test_lambda_map_equilibrium_is_fixed_point():
     pb = make_problem(rho=ConstantDensity(1.3))
     g = pb.grid
     cfg = StepperConfig(dt=2e-3, t_end=0.0)
-    st = pb.initial_state(u_zero(g), phi_constant(g, 0.25), cfg)
+    st = pb.initial_state(u_zero(g), phi_constant(g, 0.25))
     frozen = constant_pair(g, st.u, st.phi, 0.0, cfg.dt, 5)
     traj = lambda_map(pb, frozen, u_zero(g), phi_constant(g, 0.25), cfg)
     assert trajectory_distance(g, traj.pair, frozen) == 0.0
@@ -147,7 +144,7 @@ def test_lambda_map_equilibrium_is_fixed_point():
 def test_lambda_map_preconditions():
     pb = make_problem()
     g = pb.grid
-    st = pb.initial_state(u_zero(g), phi_constant(g, 0.1), StepperConfig(dt=1e-3, t_end=0.0))
+    st = pb.initial_state(u_zero(g), phi_constant(g, 0.1))
     pair = constant_pair(g, st.u, st.phi, 0.0, 1e-3, 3)
     with pytest.raises(DomainError):
         lambda_map(pb, pair, u_zero(g), phi_constant(g, 0.1), StepperConfig(dt=2e-3, t_end=0.0))
@@ -165,7 +162,7 @@ def test_lambda_map_energy_identity_with_remainder(demo16):
     pb, cfg = demo16["pb"], demo16["cfg"]
     g = pb.grid
     laws = pb.laws
-    st0 = pb.initial_state(demo16["u0"], demo16["phi0"], cfg)
+    st0 = pb.initial_state(demo16["u0"], demo16["phi0"])
     n = int(round(0.05 / cfg.dt))
     frozen = constant_pair(g, st0.u, st0.phi, 0.0, cfg.dt, n)
     traj = lambda_map(pb, frozen, demo16["u0"], demo16["phi0"], cfg)

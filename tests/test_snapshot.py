@@ -7,6 +7,7 @@ from achns.config import parse_config
 from achns.dynamics import run
 from achns.errors import DomainError
 from achns.snapshot import (
+    _HEADER,
     MAGIC,
     SnapshotSink,
     embed_coefficients,
@@ -27,10 +28,21 @@ def small_run():
     return cfg, grid, summary.final_state
 
 
-def _dump(grid, state, **kw):
+def _dump(grid, state):
     buf = io.BytesIO()
-    write_snapshot(buf, grid, state, **kw)
+    write_snapshot(buf, grid, state)
     return buf.getvalue()
+
+
+def _partial(grid, raw, n_u, n_phi):
+    """A v1 file with the leading n_u velocity and n_phi order-parameter
+    coefficients of the full dump raw."""
+    fields = list(_HEADER.unpack_from(raw, 0))
+    fields[8:10] = n_u, n_phi
+    off = _HEADER.size + 8 * grid.n_grid[0] * grid.n_grid[1]
+    coef = np.frombuffer(raw, "<c16", offset=off).reshape(3, grid.n_band_modes)
+    return (_HEADER.pack(*fields) + raw[_HEADER.size:off] + coef[0, :n_u].tobytes()
+            + coef[1, :n_u].tobytes() + coef[2, :n_phi].tobytes())
 
 
 def test_layout_size(small_run):
@@ -108,27 +120,15 @@ def test_truncated_payload(small_run):
 
 
 def test_partial_mode_counts(small_run):
+    # runs write the whole band, but the v1 header carries the counts
     _, grid, state = small_run
-    raw = _dump(grid, state, n_modes_u=9, n_modes_phi=5)
+    raw = _partial(grid, _dump(grid, state), 9, 5)
     snap = read_snapshot(io.BytesIO(raw))
     assert snap.u_coef.shape == (2, 9)
     assert snap.phi_coef.shape == (5,)
     # retained modes are the energetically leading ones, in canonical order
     full = state.phi.ravel()[grid.mode_order[:5]]
     assert np.array_equal(snap.phi_coef, full)
-
-
-def test_mode_count_bounds(small_run):
-    _, grid, state = small_run
-    with pytest.raises(DomainError, match="mode counts"):
-        _dump(grid, state, n_modes_u=0)
-    with pytest.raises(DomainError, match="mode counts"):
-        _dump(grid, state, n_modes_phi=grid.n_band_modes + 1)
-    # counts that keep some k without -k
-    with pytest.raises(DomainError, match="nearest valid counts are 9 and 13"):
-        _dump(grid, state, n_modes_u=10)
-    with pytest.raises(DomainError, match="nearest valid counts are 5 and 9"):
-        _dump(grid, state, n_modes_phi=7)
 
 
 def test_embed_rejects_oversized(small_run):
