@@ -195,9 +195,8 @@ def check_hypotheses(model: AnisotropyModel, n_samples: int = 1000) -> Hypothesi
         return sign * res.fun, res.x / np.linalg.norm(res.x)
 
     r, p_min = refine(p[np.argmin(ratios)], +1.0)
-    big_neg, _ = refine(p[np.argmax(ratios)], -1.0)
-    big = -big_neg if big_neg < 0 else big_neg
-    big = float(max(np.max(ratios), -min(big_neg, 0.0), big))
+    big, _ = refine(p[np.argmax(ratios)], -1.0)
+    big = float(max(np.max(ratios), big))
     r = float(min(np.min(ratios), r))
 
     # H2: additivity of the capillary vector on generic sample pairs

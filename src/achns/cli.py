@@ -260,10 +260,12 @@ def _cmd_sweep(args) -> int:
         grid = cfg_e.grid()
         problem = cfg_e.problem()
         u0, phi0 = cfg_e.initial_fields(grid)
-        reports = []
+        reports, first = [], []
 
         def sink(state, g=grid, laws=cfg_e.laws, model=cfg_e.model, s=spec,
-                 out=reports):
+                 out=reports, first=first):
+            if not first:
+                first.append(state)
             out.append(diagnostics.energy_report(g, state, laws, model, s))
 
         run_integrator(problem, u0, phi0, cfg_e.stepper(), sinks=[sink])
@@ -273,7 +275,7 @@ def _cmd_sweep(args) -> int:
         if e0_unreg is None:
             # unregularized initial energy: swap only the potential term;
             # the logarithmic well needs |phi| < 1, true for admissible data
-            state0 = problem.initial_state(u0, phi0)
+            state0 = first[0]
             phi_vals = grid.to_grid(state0.phi)
             e_pot_unreg = grid.quadrature(state0.rho.values * f_log(spec, phi_vals))
             e0_unreg = st0.e_kin + st0.e_surf + e_pot_unreg

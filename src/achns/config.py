@@ -289,7 +289,7 @@ def _build_density(view, lengths):
                 lengths,
             )
         width = view.get("density", "mollify_width")
-        rho0 = mollify_initial_density(raw, width, lengths)
+        rho0 = mollify_initial_density(raw, width)
     except DomainError as exc:
         raise ConfigError(str(exc), view.section_line("density", 0)) from exc
     if not rho0.bounds[0] > 0:

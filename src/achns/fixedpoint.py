@@ -2,7 +2,7 @@
 
 The map takes a trajectory pair (u~, phi~) on a short horizon, advects
 the density along u~, integrates the linearized Galerkin system driven
-by those frozen fields from the original initial data, and returns the
+by those frozen fields from the initial state, and returns the
 resulting trajectory on the same sample grid. Its fixed points solve
 the self-consistent system; the iteration contracts on short horizons.
 
@@ -40,15 +40,15 @@ DIV_FREE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FrozenPair:
-    """Sampled trajectory pair on a uniform time grid, with end-point
-    slopes so each interval carries a cubic model of both fields.
+    """Sampled trajectory pair on the uniform time grid k dt from t=0,
+    with end-point slopes so each interval carries a cubic model of both
+    fields.
 
     Axis 0 of every array is the sample index; velocity samples must be
     divergence-free.
     """
 
     grid: TorusGrid
-    t0: float
     dt: float
     u: np.ndarray      # (n_samples, 2, N1, N2) complex
     du: np.ndarray
@@ -84,16 +84,12 @@ class FrozenPair:
         return self.u.shape[0] - 1
 
     @property
-    def t_end(self):
-        return self.t0 + self.n_steps * self.dt
-
-    @property
     def times(self):
-        return self.t0 + self.dt * np.arange(self.n_samples)
+        return self.dt * np.arange(self.n_samples)
 
     def records(self, k: int):
         """Cubic interval models (velocity, order parameter) for step k."""
-        t_k = self.t0 + k * self.dt
+        t_k = k * self.dt
         urec = StepRecord.hermite(t_k, self.dt, self.u[k], self.du[k],
                                   self.u[k + 1], self.du[k + 1])
         prec = StepRecord.hermite(t_k, self.dt, self.phi[k], self.dphi[k],
@@ -101,16 +97,16 @@ class FrozenPair:
         return urec, prec
 
 
-def constant_pair(grid: TorusGrid, u, phi, t0: float, dt: float, n_steps: int) -> FrozenPair:
-    """Constant-in-time extension of one state, the canonical first
-    iterate."""
+def constant_pair(grid: TorusGrid, u, phi, dt: float, n_steps: int) -> FrozenPair:
+    """Constant-in-time extension of one state over n_steps steps of dt
+    from t=0, the canonical first iterate."""
     if n_steps < 1:
         raise DomainError("need at least one step")
     reps = n_steps + 1
     zero_u = np.zeros_like(u)
     zero_p = np.zeros_like(phi)
     return FrozenPair(
-        grid, t0, dt,
+        grid, dt,
         np.stack([u] * reps), np.stack([zero_u] * reps),
         np.stack([phi] * reps), np.stack([zero_p] * reps),
     )
@@ -124,23 +120,21 @@ class LambdaTrajectory:
     states: list
 
 
-def lambda_map(problem: Problem, frozen: FrozenPair, u0_grid, phi0_grid,
+def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
                cfg: StepperConfig) -> LambdaTrajectory:
-    """Integrate the linearized system driven by the frozen pair.
+    """Integrate the linearized system driven by the frozen pair from
+    the start state, at the pair's own step; cfg supplies only the
+    stability policy.
 
     The density rides the characteristics of the frozen velocity; the
     produced trajectory is sampled on the frozen pair's own grid and
     carries matching slopes, so it can be fed back in as the next
     frozen pair.
     """
-    if abs(frozen.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
-        raise DomainError("frozen-pair cadence must match the stepper dt")
-    if frozen.t0 != 0.0:
-        raise DomainError("frozen pair must start at t=0")
-    check_dt(problem, cfg, cfg.dt)
-    g = problem.grid
+    if state.t != 0.0:
+        raise DomainError("the start state must sit at t=0, where the frozen pair starts")
     h = frozen.dt
-    state = problem.initial_state(u0_grid, phi0_grid)
+    check_dt(problem, cfg, h)
     k1 = linearized_rhs(problem, state, frozen.u[0], frozen.phi[0])
     us, dus = [state.u], [k1[0]]
     phis, dphis = [state.phi], [k1[1]]
@@ -163,7 +157,7 @@ def lambda_map(problem: Problem, frozen: FrozenPair, u0_grid, phi0_grid,
         dphis.append(k1[1])
         states.append(state)
 
-    pair = FrozenPair(g, 0.0, h, np.stack(us), np.stack(dus), np.stack(phis), np.stack(dphis))
+    pair = FrozenPair(problem.grid, h, np.stack(us), np.stack(dus), np.stack(phis), np.stack(dphis))
     return LambdaTrajectory(pair, states)
 
 
@@ -232,13 +226,13 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     if tol_r is None:
         e0 = energy_report(g, state0, problem.laws, problem.model, problem.spec).e_total
         tol_r = 1e-8 * abs(e0)
-    frozen = constant_pair(g, state0.u, state0.phi, 0.0, cfg.dt, n_steps)
+    frozen = constant_pair(g, state0.u, state0.phi, cfg.dt, n_steps)
     distances = []
     r_history = []
     traj = None
     converged = False
     for _ in range(max_iter):
-        traj = lambda_map(problem, frozen, u0_grid, phi0_grid, cfg)
+        traj = lambda_map(problem, frozen, state0, cfg)
         dist = trajectory_distance(g, traj.pair, frozen)
         r_worst = max(
             abs(residual_r_eps(g, st, frozen.u[k], problem.spec))

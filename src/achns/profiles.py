@@ -12,7 +12,7 @@ and normalize amplitudes on a fixed reference grid, so the same seed
 gives the same function at every resolution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,52 +134,6 @@ class BlobDensity:
             self.center,
             self.lengths,
         )
-
-
-@dataclass
-class TrigSampler:
-    """Finite Fourier series evaluated exactly at arbitrary points.
-
-    Used as the mollification fallback for samplers without a closed
-    form. `bounds` are carried, not recomputed: a nonnegative unit-mass
-    kernel cannot push a function outside its own range.
-    """
-
-    lengths: tuple
-    modes: np.ndarray  # (n, 2) integer wave indices
-    coefs: np.ndarray  # (n,) complex
-    bounds: tuple = field(default=(0.0, 0.0))
-
-    def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 2)
-        kx = 2 * np.pi * self.modes[:, 0] / self.lengths[0]
-        ky = 2 * np.pi * self.modes[:, 1] / self.lengths[1]
-        phases = np.exp(1j * (flat[:, :1] * kx[None, :] + flat[:, 1:2] * ky[None, :]))
-        vals = (phases @ self.coefs).real
-        return vals.reshape(pts.shape[:-1])
-
-    def mollified(self, width):
-        kx = 2 * np.pi * self.modes[:, 0] / self.lengths[0]
-        ky = 2 * np.pi * self.modes[:, 1] / self.lengths[1]
-        damp = np.exp(-(kx * kx + ky * ky) * width * width / 2)
-        return TrigSampler(self.lengths, self.modes, self.coefs * damp, self.bounds)
-
-
-def sampler_to_series(sampler, lengths, n_ref: int = 256) -> TrigSampler:
-    """Project an arbitrary periodic sampler onto a finite Fourier series
-    by sampling on a fine reference grid. Bounds come from the sampler
-    when it has them, else from the sampled values."""
-    ref = TorusGrid(tuple(lengths), (n_ref, n_ref))
-    pts = np.stack(ref.mesh, axis=-1)
-    vals = np.asarray(sampler(pts), dtype=float)
-    coef = np.fft.fft2(vals) / (n_ref * n_ref)
-    mask = ref.dealias_mask
-    idx = np.flatnonzero(mask.ravel())
-    i1, i2 = np.unravel_index(idx, mask.shape)
-    modes = np.stack([ref.k1_int[i1], ref.k2_int[i2]], axis=1)
-    bounds = getattr(sampler, "bounds", (float(vals.min()), float(vals.max())))
-    return TrigSampler(tuple(lengths), modes, coef.ravel()[idx], bounds)
 
 
 # --- spectral helpers for grid-valued profiles ------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 
 from .basis import TorusGrid
 from .errors import DomainError
-from .profiles import sampler_to_series
 
 
 @dataclass(frozen=True)
@@ -94,19 +93,14 @@ def _require_bounds(rho0):
     return float(lo), float(hi)
 
 
-def mollify_initial_density(rho0_raw, width: float, lengths=None):
-    """Gaussian mollification of an initial profile; width 0 is the
-    identity. Profiles with a closed-form smoothing use it; anything
-    else is projected on a finite Fourier series first."""
+def mollify_initial_density(rho0_raw, width: float):
+    """Gaussian mollification of an initial profile by its closed-form
+    `mollified`; width 0 is the identity."""
     if width < 0:
         raise DomainError("mollification width must be nonnegative")
     if width == 0:
         return rho0_raw
-    if hasattr(rho0_raw, "mollified"):
-        return rho0_raw.mollified(width)
-    if lengths is None:
-        raise DomainError("generic samplers need the box lengths to mollify")
-    return sampler_to_series(rho0_raw, lengths).mollified(width)
+    return rho0_raw.mollified(width)
 
 
 # --- displacement bookkeeping used by the time stepper -----------------------

@@ -313,6 +313,30 @@ def test_criterion_05_density_bounds(demo_levels):
             f"subset of [{lo:g}, {hi:g}], unclamped violation {violation:.1e}")
 
 
+# the demo reads 3.7e-5 at t=1; a Taylor-Green amplitude of 1.0 in
+# place of 0.3 reads 7.9e-3 and fails
+JACOBIAN_DEFECT_TOL = 1e-3
+
+
+def _jacobian_defect(grid, disp):
+    """max |det(I + grad D) - 1| of a backward displacement D on the grid,
+    with grad D taken spectrally."""
+    dc = grid.to_spectral(disp)
+    g1, g2 = (grid.to_grid(grid.grad(dc[i])) for i in range(2))
+    det = (1.0 + g1[0]) * (1.0 + g2[1]) - g1[1] * g2[0]
+    return float(np.abs(det - 1.0).max())
+
+
+def test_criterion_05_jacobian_defect(demo_levels):
+    # beside criterion 5, whose unclamped check cannot fail for the
+    # closed-form profiles: the backward map must stay volume-preserving
+    data = demo_levels[4e-3]
+    defect = _jacobian_defect(data.grid, data.final_state.disp)
+    _report(5, defect <= JACOBIAN_DEFECT_TOL,
+            f"Jacobian defect {defect:.2e} of the backward map at t=1 "
+            f"(bound {JACOBIAN_DEFECT_TOL:g})")
+
+
 def test_criterion_06_fixed_point(picard16):
     grid, rep, states, tol, e0, secs = picard16
     converged = rep.converged

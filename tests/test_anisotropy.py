@@ -135,6 +135,18 @@ def test_check_hypotheses_sampled_family():
     assert not rep_kink.h2_holds
 
 
+def test_sampled_upper_bound_keeps_its_sign():
+    # every ratio Gamma^2/|p|^2 is negative here; R is the largest of them
+    model = taylor_cahn(-0.9, -0.9)
+    rep = check_hypotheses(model)
+    p = np.random.default_rng(11).standard_normal((200_000, model.dim))
+    ratios = gamma_sq(model, p) / np.sum(p * p, axis=1)
+    assert ratios.max() < 0
+    assert rep.R < 0
+    assert rep.R >= ratios.max()
+    assert rep.R == pytest.approx(ratios.max(), abs=1e-3)
+
+
 def test_positivity_threshold_is_computed():
     # eigenvalues are {1, 1+6b}: positive just above b = -1/6, not below
     assert check_hypotheses(taylor_cahn_matrix(-0.16), 100).h1_holds

@@ -14,7 +14,6 @@ from achns import dynamics, fixedpoint
 from achns.anisotropy import quadratic_form
 from achns.basis import TorusGrid
 from achns.dynamics import FlowState, MaterialLaws, Problem, StepperConfig
-from achns.fixedpoint import constant_pair
 from achns.potential import PotentialSpec
 from achns.profiles import SinusoidalDensity, phi_band_random, u_taylor_green
 
@@ -61,15 +60,17 @@ def test_traced_step_and_lambda_map_record_every_layer(bench):
     spans, workloads = bench
     problem, u0, phi0, cfg = _setup()
     state = problem.initial_state(u0, phi0)
-    frozen = constant_pair(problem.grid, state.u, state.phi, 0.0, cfg.dt, 2)
     rec = spans.Recorder()
     with spans.patched(workloads._trace_targets(rec)):
-        # called as the benchmark's workloads call them, through the modules
+        # called as the benchmark's workloads call them, through the
+        # modules; the Picard workload reaches lambda_map only via picard
         result = dynamics.step(problem, state, cfg)
-        traj = fixedpoint.lambda_map(problem, frozen, u0, phi0, cfg)
+        report = fixedpoint.picard(problem, u0, phi0, cfg, t_tilde=cfg.t_end, tol=1e-18,
+                                   max_iter=2)
     # the step clock keeps args[1] and result[0] of each step call
     assert isinstance(result[0], FlowState) and result[0].t == pytest.approx(cfg.dt)
-    assert len(traj.states) == 3
+    assert report.iterations == 2 and len(report.states) == 3
+    assert sum(s[0] == "fixedpoint.lambda_map" for s in rec.spans) == 2
     in_step = _names_under(rec.spans, "dynamics.step")
     in_map = _names_under(rec.spans, "fixedpoint.lambda_map")
     layers = {"dynamics.solve_mu", "dynamics._cg", "transport.trace_points",

@@ -278,10 +278,20 @@ def test_blob_density_profile():
 
 
 def test_mollify_width_damps_amplitude():
-    plain = parse_config("")
-    smooth = parse_config("[density]\nmollify_width = 0.5\n")
-    assert smooth.rho0.bounds[0] > plain.rho0.bounds[0]
-    assert smooth.rho0.bounds[1] < plain.rho0.bounds[1]
+    # every profile the config offers has a closed-form mollification
+    profiles = {
+        "constant": "value = 1.3\n",
+        "sinusoidal": "",
+        "blob": "base = 1.0\namplitude = 0.5\nwidth = 0.7\ncenter1 = 3.0\ncenter2 = 3.0\n",
+    }
+    for name, keys in profiles.items():
+        text = f"[density]\nprofile = {name}\n{keys}"
+        plain = parse_config(text)
+        smooth = parse_config(text + "mollify_width = 0.5\n")
+        assert smooth.rho0 == plain.rho0.mollified(0.5)
+        if name != "constant":
+            assert smooth.rho0.bounds[0] > plain.rho0.bounds[0]
+            assert smooth.rho0.bounds[1] < plain.rho0.bounds[1]
 
 
 def test_negative_mollify_width_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -70,23 +71,23 @@ def test_frozen_pair_validation():
     bad = u.copy()
     bad[:, 0, 1, 0] = 1.0
     with pytest.raises(DomainError):
-        FrozenPair(g, 0.0, 1e-3, bad, np.zeros_like(u), phi, np.zeros_like(phi))
+        FrozenPair(g, 1e-3, bad, np.zeros_like(u), phi, np.zeros_like(phi))
     with pytest.raises(DomainError):
-        FrozenPair(g, 0.0, -1e-3, u, np.zeros_like(u), phi, np.zeros_like(phi))
+        FrozenPair(g, -1e-3, u, np.zeros_like(u), phi, np.zeros_like(phi))
     with pytest.raises(DomainError):
-        FrozenPair(g, 0.0, 1e-3, u[:1], np.zeros_like(u[:1]), phi[:1], np.zeros_like(phi[:1]))
+        FrozenPair(g, 1e-3, u[:1], np.zeros_like(u[:1]), phi[:1], np.zeros_like(phi[:1]))
     with pytest.raises(DimensionError):
-        FrozenPair(g, 0.0, 1e-3, u, np.zeros((2, 2, 4, 4), dtype=complex), phi, np.zeros_like(phi))
-    pair = FrozenPair(g, 0.0, 1e-3, u, np.zeros_like(u), phi, np.zeros_like(phi))
+        FrozenPair(g, 1e-3, u, np.zeros((2, 2, 4, 4), dtype=complex), phi, np.zeros_like(phi))
+    pair = FrozenPair(g, 1e-3, u, np.zeros_like(u), phi, np.zeros_like(phi))
     assert pair.n_samples == 2 and pair.n_steps == 1
-    assert pair.t_end == pytest.approx(1e-3)
+    assert np.array_equal(pair.times, [0.0, 1e-3])
 
 
 def test_constant_pair_records_are_steady():
     pb = make_problem(n=8, rho=ConstantDensity(1.2))
     g = pb.grid
     st = pb.initial_state(u_taylor_green(g, 0.2), phi_constant(g, 0.1))
-    pair = constant_pair(g, st.u, st.phi, 0.0, 1e-3, 4)
+    pair = constant_pair(g, st.u, st.phi, 1e-3, 4)
     assert pair.n_samples == 5
     urec, prec = pair.records(2)
     mid = urec.coef_at(2e-3 + 5e-4)
@@ -132,8 +133,8 @@ def test_lambda_map_equilibrium_is_fixed_point():
     g = pb.grid
     cfg = StepperConfig(dt=2e-3, t_end=0.0)
     st = pb.initial_state(u_zero(g), phi_constant(g, 0.25))
-    frozen = constant_pair(g, st.u, st.phi, 0.0, cfg.dt, 5)
-    traj = lambda_map(pb, frozen, u_zero(g), phi_constant(g, 0.25), cfg)
+    frozen = constant_pair(g, st.u, st.phi, cfg.dt, 5)
+    traj = lambda_map(pb, frozen, st, cfg)
     assert trajectory_distance(g, traj.pair, frozen) == 0.0
     assert np.abs(traj.pair.du).max() == 0.0
     assert np.abs(traj.pair.dphi).max() <= 1e-14
@@ -145,15 +146,12 @@ def test_lambda_map_preconditions():
     pb = make_problem()
     g = pb.grid
     st = pb.initial_state(u_zero(g), phi_constant(g, 0.1))
-    pair = constant_pair(g, st.u, st.phi, 0.0, 1e-3, 3)
+    pair = constant_pair(g, st.u, st.phi, 1e-3, 3)
     with pytest.raises(DomainError):
-        lambda_map(pb, pair, u_zero(g), phi_constant(g, 0.1), StepperConfig(dt=2e-3, t_end=0.0))
-    shifted = constant_pair(g, st.u, st.phi, 0.1, 1e-3, 3)
-    with pytest.raises(DomainError):
-        lambda_map(pb, shifted, u_zero(g), phi_constant(g, 0.1), StepperConfig(dt=1e-3, t_end=0.0))
-    big = constant_pair(g, st.u, st.phi, 0.0, 0.5, 3)
+        lambda_map(pb, pair, dataclasses.replace(st, t=0.1), StepperConfig(dt=1e-3, t_end=0.0))
+    big = constant_pair(g, st.u, st.phi, 0.5, 3)
     with pytest.raises(StabilityError):
-        lambda_map(pb, big, u_zero(g), phi_constant(g, 0.1), StepperConfig(dt=0.5, t_end=0.0))
+        lambda_map(pb, big, st, StepperConfig(dt=0.5, t_end=0.0))
 
 
 def test_lambda_map_energy_identity_with_remainder(demo16):
@@ -164,8 +162,8 @@ def test_lambda_map_energy_identity_with_remainder(demo16):
     laws = pb.laws
     st0 = pb.initial_state(demo16["u0"], demo16["phi0"])
     n = int(round(0.05 / cfg.dt))
-    frozen = constant_pair(g, st0.u, st0.phi, 0.0, cfg.dt, n)
-    traj = lambda_map(pb, frozen, demo16["u0"], demo16["phi0"], cfg)
+    frozen = constant_pair(g, st0.u, st0.phi, cfg.dt, n)
+    traj = lambda_map(pb, frozen, st0, cfg)
 
     def dissipation(st, phi_frozen):
         lawg = g.to_grid(phi_frozen)
@@ -226,6 +224,24 @@ def test_picard_equilibrium_converges_first_iteration():
     assert rep.iterations == 1
     assert rep.distances == [0.0]
     assert rep.r_eps_history == [0.0]
+
+
+def test_picard_builds_the_initial_state_once(monkeypatch):
+    pb = make_problem(n=8)
+    g = pb.grid
+    calls = []
+    build = Problem.initial_state
+
+    def counted(self, u0_grid, phi0_grid):
+        calls.append(1)
+        return build(self, u0_grid, phi0_grid)
+
+    monkeypatch.setattr(Problem, "initial_state", counted)
+    cfg = StepperConfig(dt=2.5e-3, t_end=0.0)
+    rep = picard(pb, u_taylor_green(g, 0.3), phi_band_random(g, seed=42, kmax=2, amplitude=0.5),
+                 cfg, t_tilde=0.005, tol=1e-18, max_iter=2)
+    assert rep.iterations == 2
+    assert len(calls) == 1
 
 
 def test_picard_converges_and_contracts(demo16):

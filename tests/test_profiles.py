@@ -7,11 +7,9 @@ from achns.profiles import (
     BlobDensity,
     ConstantDensity,
     SinusoidalDensity,
-    TrigSampler,
     phi_band_random,
     phi_constant,
     phi_modes,
-    sampler_to_series,
     u_random_solenoidal,
     u_taylor_green,
     u_zero,
@@ -83,17 +81,6 @@ def test_blob_mollification_is_width_addition():
     # the grid average must agree before and after
     pts = grid_points(GRID)
     assert sm(pts).mean() == pytest.approx(rho(pts).mean(), rel=1e-10)
-
-
-def test_trig_sampler_round_trip_and_mollify():
-    rho = SinusoidalDensity(1.5, 0.5, L, k1=2, k2=1)
-    series = sampler_to_series(rho, L, n_ref=64)
-    pts = grid_points(GRID)
-    np.testing.assert_allclose(series(pts), rho(pts), atol=1e-12)
-    assert series.bounds == rho.bounds
-    sm = series.mollified(0.4)
-    np.testing.assert_allclose(sm(pts), rho.mollified(0.4)(pts), atol=1e-12)
-    assert isinstance(sm, TrigSampler)
 
 
 def test_phi_constant_and_modes():

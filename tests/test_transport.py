@@ -180,17 +180,9 @@ def test_mollify_dispatch():
     assert mollify_initial_density(rho0, 0.0) is rho0
     sm = mollify_initial_density(rho0, 0.3)
     assert sm.amplitude < 0.5
-
-    class Raw:
-        def __call__(self, pts):
-            pts = np.asarray(pts)
-            return 1.5 + 0.5 * np.sin(2 * pts[..., 0]) * np.cos(pts[..., 1])
-
-    generic = mollify_initial_density(Raw(), 0.3, lengths=L)
-    pts = grid_pts(GRID)
-    np.testing.assert_allclose(generic(pts), sm(pts), atol=1e-10)
+    assert sm == rho0.mollified(0.3)
     with pytest.raises(DomainError):
-        mollify_initial_density(Raw(), 0.3)
+        mollify_initial_density(rho0, -0.1)
 
 
 def test_displacement_composition_matches_direct_trace():
