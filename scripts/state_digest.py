@@ -1,4 +1,4 @@
-"""SHA-256 digests of three fixed runs, to tell whether a change moved
+"""SHA-256 digests of four fixed runs, to tell whether a change moved
 any bit of the trajectories.
 
     PYTHONPATH=src python scripts/state_digest.py
@@ -11,14 +11,17 @@ prints one line per run:
   the final state;
 * ``picard32``: the Picard iteration on the 32^2 demo (dt 0.004, horizon
   0.08, seed 7), over the converged trajectory (u, du, phi, dphi) and
-  the t, mu, rho and displacement of every state.
+  the t, mu, rho and displacement of every state;
+* ``grid128``: 3 demo steps on a 128^2 grid at dt = 0.5 x the stability
+  bound (seed 7), over the final state. Its feet take Taylor orders 3-4,
+  where the 32^2 runs take 5-7.
 
-It calls only ``cli.main``, ``load_config``/``RunConfig``, ``dynamics.run``
-and ``fixedpoint.picard``, so pointing PYTHONPATH at the ``src`` of another
-checkout digests that tree's runs, and equal lines mean bitwise equal
-runs. BLAS and OpenMP are pinned to one thread before numpy loads, so
-the reductions run in a fixed order. The three runs take about half a
-minute on one core.
+It calls only ``cli.main``, ``load_config``/``parse_config``/``RunConfig``,
+``dynamics.run``, ``dynamics.stability_bound`` and ``fixedpoint.picard``,
+so pointing PYTHONPATH at the ``src`` of another checkout digests that
+tree's runs, and equal lines mean bitwise equal runs. BLAS and OpenMP
+are pinned to one thread before numpy loads, so the reductions run in
+a fixed order. The four runs take under a minute on one core.
 """
 
 import os
@@ -36,7 +39,7 @@ import tempfile  # noqa: E402
 import numpy as np  # noqa: E402
 
 from achns import cli, dynamics, fixedpoint  # noqa: E402
-from achns.config import load_config  # noqa: E402
+from achns.config import load_config, parse_config  # noqa: E402
 
 DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "configs", "demo.cfg")
@@ -71,17 +74,27 @@ def demo_digest():
     return h.hexdigest()
 
 
-def modes_digest():
-    cfg = load_config(DEMO)
-    cfg = dataclasses.replace(cfg, t_end=20 * cfg.dt, n_modes_u=37, n_modes_phi=37)
+def _final_state_digest(cfg, n_steps):
     grid = cfg.grid()
     u0, phi0 = cfg.initial_fields(grid)
     summary = dynamics.run(cfg.problem(), u0, phi0, cfg.stepper())
-    if summary.n_steps != 20:
-        raise RuntimeError(f"took {summary.n_steps} steps, expected 20")
+    if summary.n_steps != n_steps:
+        raise RuntimeError(f"took {summary.n_steps} steps, expected {n_steps}")
     h = hashlib.sha256()
     _feed_state(h, summary.final_state)
     return h.hexdigest()
+
+
+def modes_digest():
+    cfg = load_config(DEMO)
+    cfg = dataclasses.replace(cfg, t_end=20 * cfg.dt, n_modes_u=37, n_modes_phi=37)
+    return _final_state_digest(cfg, 20)
+
+
+def grid128_digest():
+    cfg = parse_config("[domain]\nn1 = 128\nn2 = 128\n[initial_phi]\nseed = 7\n")
+    dt = 0.5 * dynamics.stability_bound(cfg.problem())
+    return _final_state_digest(dataclasses.replace(cfg, dt=dt, t_end=3 * dt), 3)
 
 
 def picard_digest():
@@ -101,7 +114,7 @@ def picard_digest():
 def main():
     print(f"achns from {os.path.dirname(cli.__file__)}", file=sys.stderr)
     for name, digest in (("demo", demo_digest), ("modes37", modes_digest),
-                         ("picard32", picard_digest)):
+                         ("picard32", picard_digest), ("grid128", grid128_digest)):
         print(f"{name} {digest()}", flush=True)
 
 

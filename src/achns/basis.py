@@ -20,6 +20,10 @@ representable on the grid without aliasing and pseudo-spectral products
 followed by re-masking agree with exact Galerkin products.
 
 Vector fields are stacked along a leading axis of length 2.
+
+A `Jet` keeps a field's Taylor derivative fields for repeated off-grid
+evaluation; ``eval_at`` plans every call as if it built them afresh, so
+a jet changes no plan and no bit.
 """
 
 from dataclasses import dataclass
@@ -314,7 +318,8 @@ class TorusGrid:
 
         The Taylor path costs (M+1)(M+2)/2 inverse FFTs of N1 N2 log2(N1 N2)
         operations and as many terms per point; the dense sum costs
-        (2K1+1)(2K2+1) terms per point.
+        (2K1+1)(2K2+1) terms per point. Each call is priced on purpose as if
+        no `Jet` held fields, so a jet moves no plan and no bit.
         """
         h = np.array(self.lengths) / np.array(self.n_grid)
         nodes = np.rint(points / h)
@@ -328,36 +333,32 @@ class TorusGrid:
                 order = None
         return nodes, delta, order
 
-    def _eval_taylor(self, stack, nodes, delta, order):
-        """Taylor expansion of fields (m, N1, N2) about the nearest nodes:
-        sum over a + b <= order of delta1^a delta2^b d1^a d2^b f / (a! b!).
-
-        The derivative fields come from the band coefficients on the
-        columns k2 = 0..K2, which determine a real field: one batched FFT
-        along axis 0 per power a, then one batched real inverse FFT along
-        axis 1 per pair (a, b).
-        """
+    def _eval_taylor(self, jet, nodes, delta, order):
+        """Taylor sum about the nearest nodes, over a + b <= order, of
+        delta1^a delta2^b d1^a d2^b f / (a! b!) for a jet (or coefficients)
+        of fields (m, N1, N2), term by term in degree-major order."""
+        jet = jet if isinstance(jet, Jet) else Jet(self, jet)
+        if order > jet.order:
+            jet.extend(order)
         n1, n2 = self.n_grid
-        kc2 = self.cutoff[1]
-        half = stack[..., :kc2 + 1] * self.dealias_mask[:, :kc2 + 1]
-        powers = np.arange(order + 1)
-        fact = np.cumprod(np.maximum(powers, 1)).astype(float)[:, None, None]
-        sym1 = (1j * self.k1) ** powers[:, None, None] / fact              # (M+1, N1, 1)
-        sym2 = (1j * self.k2[:, :kc2 + 1]) ** powers[:, None, None] / fact  # (M+1, 1, K2+1)
-        a, b = np.array([(i, d - i) for d in range(order + 1) for i in range(d + 1)]).T
-        part = scipy.fft.ifft(sym1[:, None] * half, axis=-2, norm="forward")
-        fields = scipy.fft.irfft(part[a] * sym2[b][:, None], n=n2, axis=-1, norm="forward")
         idx = (nodes[:, 0].astype(np.int64) % n1) * n2 + nodes[:, 1].astype(np.int64) % n2
-        at_nodes = np.take(fields.reshape(fields.shape[:2] + (n1 * n2,)), idx, axis=-1)
-        monomials = _powers(delta[:, 0], order)[a] * _powers(delta[:, 1], order)[b]
-        return np.einsum("tmp,tp->mp", at_nodes, monomials)
+        p1, p2 = _powers(delta[:, 0], order), _powers(delta[:, 1], order)
+        out = np.zeros((jet.fields[0].shape[1], len(idx)))
+        term, mono = np.empty_like(out), np.empty(len(idx))
+        for d in range(order + 1):
+            for a in range(d + 1):
+                np.take(jet.fields[d][a], idx, axis=-1, out=term, mode="clip")
+                term *= np.multiply(p1[a], p2[d - a], out=mono)
+                out += term
+        return out
 
     def eval_at(self, coef, points):
         """Evaluate retained-band fields at arbitrary points.
 
-        coef is one real field (N1, N2) or a stack (m, N1, N2) of them;
-        points has shape (P, 2) and need not be wrapped into the box.
-        Returns (P,) or (m, P): sum_k c_k exp(i k.x) over the band.
+        coef is one real field (N1, N2), a stack (m, N1, N2) of them, or
+        a `Jet` of either; points has shape (P, 2) and need not be
+        wrapped into the box. Returns (P,) or (m, P): sum_k c_k exp(i k.x)
+        over the band.
 
         Each call takes whichever of two methods needs fewer operations
         for its grid and points (``_plan``):
@@ -369,23 +370,55 @@ class TorusGrid:
           the band, the remainder is at most ||c||_1 2^-53. The
           (M+1)(M+2)/2 derivative fields cost batched inverse FFTs, so
           this wins for points near the grid, such as the feet of
-          characteristics over one step.
+          characteristics over one step. A jet keeps its fields for
+          later calls; plain coefficients get a throwaway one.
         * Dense: the direct sum over the band, O(P K1 K2), for points
           anywhere; it is also the oracle the tests hold the Taylor
           path to, at 1e-13 relative agreement.
         """
-        coef = np.asarray(coef)
-        self._check_grid_shape(coef)
+        jet = coef if isinstance(coef, Jet) else Jet(self, coef)
+        if jet.grid != self:
+            raise DimensionError("the jet belongs to another grid")
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
             raise DimensionError("points must have shape (P, 2)")
-        stack = coef.reshape((-1,) + self.n_grid)
         nodes, delta, order = self._plan(points)
         if order is None:
-            vals = self._eval_dense(stack, points)
+            vals = self._eval_dense(jet.coef.reshape((-1,) + self.n_grid), points)
         else:
-            vals = self._eval_taylor(stack, nodes, delta, order)
-        return vals.reshape(coef.shape[:-2] + (len(points),))
+            vals = self._eval_taylor(jet, nodes, delta, order)
+        return vals.reshape(jet.coef.shape[:-2] + (len(points),))
+
+
+class Jet:
+    """Coefficients of one real field (N1, N2) or a stack (m, N1, N2) and
+    their Taylor derivative fields d1^a d2^b f / (a! b!) on the grid, built
+    degree by degree up to the highest order any evaluation has asked for
+    and held, (M+1)(M+2)/2 grids per field, until the jet is dropped."""
+
+    def __init__(self, grid, coef):
+        self.grid, self.coef, self.order = grid, np.asarray(coef), -1
+        grid._check_grid_shape(self.coef)
+        self._parts = []   # per power a: (i k1)^a / a! times the band, inverse FFT along axis 0
+        self.fields = []  # per degree d: the fields (a, d - a), a = 0..d, as (d+1, m, N1 N2)
+
+    def extend(self, order):
+        """Build the fields of the degrees above self.order up to order from
+        the band's columns k2 = 0..K2, which determine a real field: one FFT
+        along axis 0 per power a, one real inverse FFT along axis 1 per degree."""
+        g = self.grid
+        (n1, n2), kc2 = g.n_grid, g.cutoff[1]
+        half = self.coef.reshape((-1,) + g.n_grid)[..., :kc2 + 1] * g.dealias_mask[:, :kc2 + 1]
+        powers = np.arange(order + 1)
+        fact = np.cumprod(np.maximum(powers, 1)).astype(float)[:, None, None]
+        sym1 = (1j * g.k1) ** powers[:, None, None] / fact              # (M+1, N1, 1)
+        sym2 = (1j * g.k2[:, :kc2 + 1]) ** powers[:, None, None] / fact  # (M+1, 1, K2+1)
+        for d in range(self.order + 1, order + 1):
+            self._parts.append(scipy.fft.ifft(sym1[d] * half, axis=-2, norm="forward"))
+            fields = scipy.fft.irfft(np.stack(self._parts) * sym2[d::-1][:, None], n=n2,
+                                     axis=-1, norm="forward")
+            self.fields.append(fields.reshape(fields.shape[:2] + (n1 * n2,)))
+        self.order = max(self.order, order)
 
 
 def _powers(base, top):

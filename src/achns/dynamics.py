@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import AnisotropyModel, QUADRATIC_FORM, check_hypotheses, xi_cap
-from .basis import TorusGrid
+from .basis import Jet, TorusGrid
 from .errors import BlowUpError, DomainError, SolverError, StabilityError
 from .potential import PotentialSpec, f_eps_prime, validate_eps
 from .transport import (
@@ -390,13 +390,11 @@ def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRec
     t = state.t
     pts = np.stack(g.mesh, axis=-1).reshape(-1, 2)
 
-    def transported(tau):
-        feet = trace_points(g, velocity, pts, tau, t)
-        disp = compose_displacement(g, state.disp, feet)
-        return density_from_displacement(problem.rho0, g, disp), disp
-
-    rho_half, _ = transported(t + h / 2)
-    rho_full, disp = transported(t + h)
+    feet = trace_points(g, velocity, pts, (t + h / 2, t + h), t)
+    prev = None if state.disp is None else Jet(g, g.to_spectral(state.disp))
+    disp_half, disp = [compose_displacement(g, prev, f) for f in feet]
+    del prev, feet  # one jet alive at a time: the next pass builds its own
+    rho_half, rho_full = [density_from_displacement(problem.rho0, g, d) for d in (disp_half, disp)]
 
     def stage(tau, u_c, phi_c, rho_c, mu_start):
         _check_finite(tau, "velocity", u_c)

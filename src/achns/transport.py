@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TorusGrid
+from .basis import Jet, TorusGrid
 from .errors import DomainError
 
 
@@ -71,26 +71,28 @@ class StepRecord:
         return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
 
 
-def trace_points(grid: TorusGrid, record: StepRecord, pts, t_from: float,
-                 t_to: float) -> np.ndarray:
+def trace_points(grid: TorusGrid, record: StepRecord, pts, t_froms, t_to: float) -> list:
     """Feet at t_to of the characteristics through the points pts (P, 2)
-    at t_from, unwrapped: one RK4 step of dy/dtau = u(y, tau) in the
-    record's velocity model, in either direction of time."""
-    h = t_to - t_from
-    c_mid = record.coef_at(t_from + 0.5 * h)
-    k1 = grid.eval_at(record.coef_at(t_from), pts).T
-    k2 = grid.eval_at(c_mid, pts + 0.5 * h * k1).T
-    k3 = grid.eval_at(c_mid, pts + 0.5 * h * k2).T
-    k4 = grid.eval_at(record.coef_at(t_to), pts + h * k3).T
-    return pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _require_bounds(rho0):
-    try:
-        lo, hi = rho0.bounds
-    except AttributeError as exc:
-        raise DomainError("density sampler must expose exact range bounds") from exc
-    return float(lo), float(hi)
+    from each time of t_froms, unwrapped: one RK4 step of dy/dtau = u(y, tau)
+    each in the record's velocity model, in either direction of time. The
+    traces share one jet per model time (start, midpoint, t_to), visited
+    from the farthest from t_to in and dropped before the next is built.
+    """
+    hs = [t_to - s for s in t_froms]
+    mids = [s + 0.5 * h for s, h in zip(t_froms, hs)]
+    ks = [[] for _ in t_froms]
+    for tau in sorted({*t_froms, *mids, t_to}, key=lambda tau: -abs(tau - t_to)):
+        jet = Jet(grid, record.coef_at(tau))
+        for s, h, mid, k in zip(t_froms, hs, mids, ks):
+            if tau == s:
+                k.append(grid.eval_at(jet, pts).T)
+            if tau == mid:
+                k.append(grid.eval_at(jet, pts + 0.5 * h * k[0]).T)
+                k.append(grid.eval_at(jet, pts + 0.5 * h * k[1]).T)
+            if tau == t_to:
+                k.append(grid.eval_at(jet, pts + h * k[2]).T)
+        del jet
+    return [pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4) for h, (k1, k2, k3, k4) in zip(hs, ks)]
 
 
 def mollify_initial_density(rho0_raw, width: float):
@@ -105,30 +107,27 @@ def mollify_initial_density(rho0_raw, width: float):
 
 # --- displacement bookkeeping used by the time stepper -----------------------
 
-def evaluate_displacement(grid: TorusGrid, disp: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Spectrally evaluate a grid-sampled periodic displacement (2, n1, n2)
-    at arbitrary points, returning (P, 2)."""
-    return grid.eval_at(grid.to_spectral(disp), pts).T
-
-
-def compose_displacement(grid: TorusGrid, disp_prev, feet: np.ndarray) -> np.ndarray:
+def compose_displacement(grid: TorusGrid, prev, feet: np.ndarray) -> np.ndarray:
     """Total backward displacement after one more step.
 
     feet are the one-step characteristic feet of the collocation points
-    (unwrapped, shape (P, 2)); disp_prev is the accumulated displacement
-    field (2, n1, n2) or None at the first step. The new total
-    displacement at a grid point x is (feet(x) - x) + D_prev(feet(x)).
+    (unwrapped, shape (P, 2)); prev is a `Jet` of the accumulated
+    displacement field (2, n1, n2), or None at the first step. The new
+    total displacement at a grid point x is (feet(x) - x) + D_prev(feet(x)).
     """
     pts = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
     delta = feet - pts
-    if disp_prev is not None:
-        delta = delta + evaluate_displacement(grid, disp_prev, feet)
+    if prev is not None:
+        delta = delta + grid.eval_at(prev, feet).T
     return delta.T.reshape((2,) + grid.n_grid)
 
 
 def density_from_displacement(rho0, grid: TorusGrid, disp) -> DensityField:
     """Sample the initial profile at x + D(x) and clamp to its bounds."""
-    lo, hi = _require_bounds(rho0)
+    try:
+        lo, hi = map(float, rho0.bounds)
+    except AttributeError as exc:
+        raise DomainError("density sampler must expose exact range bounds") from exc
     pts = np.stack(grid.mesh, axis=-1)
     if disp is not None:
         pts = pts + np.moveaxis(disp, 0, -1)

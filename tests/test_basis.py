@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from achns.basis import TorusGrid
+from achns.basis import Jet, TorusGrid
 from achns.errors import DimensionError, DomainError
 
 
@@ -389,6 +389,27 @@ def test_eval_at_on_the_nodes_is_order_zero():
     assert _relative_gap(vals, grid.to_grid(coef).ravel()) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [16, 32, 128])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("ascending", [True, False])
+def test_jet_evaluations_equal_fresh_calls_bitwise(n, stacked, ascending):
+    # one jet asked for rising orders (each call extends it) or falling
+    # ones (each call sums a prefix of what it holds)
+    rng = np.random.default_rng(n)
+    grid = TorusGrid((2 * np.pi, 4 * np.pi), (n, n))
+    coef = _band_coef(grid, rng)
+    if stacked:
+        coef = np.stack([coef, _band_coef(grid, rng)])
+    mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
+    point_sets = [mesh + rng.uniform(-r, r, mesh.shape) for r in (0.0, 1e-12, 1e-7, 1e-5)]
+    orders = [grid._plan(pts)[2] for pts in point_sets]
+    assert orders[0] == 0 and all(a < b for a, b in zip(orders, orders[1:]))
+    jet = Jet(grid, coef)
+    for pts in point_sets if ascending else point_sets[::-1]:
+        np.testing.assert_array_equal(grid.eval_at(jet, pts), grid.eval_at(coef, pts))
+    assert jet.order == orders[-1]
+
+
 def test_shape_mismatch_raises():
     grid = make_grid(16)
     with pytest.raises(DimensionError):
@@ -397,3 +418,5 @@ def test_shape_mismatch_raises():
         grid.eval_at(np.zeros(grid.n_grid, dtype=complex), np.zeros((4, 3)))
     with pytest.raises(DimensionError):
         grid.eval_at(np.zeros((8, 8), dtype=complex), np.zeros((4, 2)))
+    with pytest.raises(DimensionError):
+        grid.eval_at(Jet(make_grid(16, L=1.0), np.zeros(grid.n_grid)), np.zeros((4, 2)))

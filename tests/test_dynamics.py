@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from achns import dynamics
 from achns.anisotropy import quadratic_form, taylor_cahn
-from achns.basis import TorusGrid
+from achns.basis import Jet, TorusGrid
 from achns.config import parse_config
 from achns.dynamics import (
     FlowState,
@@ -676,6 +678,39 @@ def test_step_starts_each_solve_from_the_nearest_solution(monkeypatch):
     # pass 1 and the end derivatives start from pass 0's solutions
     for i in range(12, 24):
         assert start[i] < 1e-4, i
+
+
+def test_each_pass_builds_four_jets_one_alive_at_a_time(monkeypatch):
+    # a 16^2 step with a displacement: per pass, the two traces evaluate
+    # the model at t + h/4, t + h/2 and t beyond order 0, and the
+    # composes evaluate state.disp; each of the 4 fields gets one jet,
+    # and each jet is dropped before the next grows past order 0. At this
+    # dt the feet lie within 1e-5 of the nodes, where 16^2 plans Taylor.
+    prob = make_problem(n=16)
+    g = prob.grid
+    cfg = StepperConfig(dt=2e-5, t_end=4e-5)
+    phi0 = phi_band_random(g, seed=7, kmax=2, amplitude=0.4)
+    state, deriv = step(prob, make_state(prob, u_taylor_green(g, 0.3), phi0), cfg)
+    assert state.disp is not None
+    grown, per_pass = [], []
+    extend, rk4 = Jet.extend, dynamics.rk4_step
+
+    def traced_extend(jet, order):
+        if order >= 1 and jet.order < 1:
+            assert all(ref() is None for ref in grown), "two jets past order 0 alive at once"
+            grown.append(weakref.ref(jet))
+        extend(jet, order)
+
+    def counted_rk4(*args, **kwargs):
+        before = len(grown)
+        result = rk4(*args, **kwargs)
+        per_pass.append(len(grown) - before)
+        return result
+
+    monkeypatch.setattr(Jet, "extend", traced_extend)
+    monkeypatch.setattr(dynamics, "rk4_step", counted_rk4)
+    step(prob, state, cfg, deriv0=deriv)
+    assert per_pass == [4, 4]
 
 
 def test_step_stokes_decay_closed_form():

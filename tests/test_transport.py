@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from achns.basis import TorusGrid
+from achns.basis import Jet, TorusGrid
 from achns.errors import DomainError
 from achns.profiles import (
     ConstantDensity,
@@ -14,7 +14,6 @@ from achns.transport import (
     StepRecord,
     compose_displacement,
     density_from_displacement,
-    evaluate_displacement,
     mollify_initial_density,
     trace_points,
 )
@@ -44,7 +43,8 @@ def trace_chain(grid, records, pts, backward=True):
     y = pts
     for rec in (reversed(records) if backward else records):
         t0, t1 = rec.t_start, rec.t_start + rec.dt
-        y = trace_points(grid, rec, y, t1, t0) if backward else trace_points(grid, rec, y, t0, t1)
+        y = (trace_points(grid, rec, y, (t1,), t0) if backward
+             else trace_points(grid, rec, y, (t0,), t1))[0]
     return y
 
 
@@ -63,15 +63,15 @@ def grid_pts(grid):
 def test_zero_velocity_traces_to_identity():
     rec = constant_velocity_records(GRID, (0.0, 0.0), 0.0, 1.0)[0]
     pts = grid_pts(GRID)
-    np.testing.assert_array_equal(trace_points(GRID, rec, pts, 1.0, 0.0), pts)
-    np.testing.assert_array_equal(trace_points(GRID, rec, pts, 0.0, 1.0), pts)
+    np.testing.assert_array_equal(trace_points(GRID, rec, pts, (1.0,), 0.0)[0], pts)
+    np.testing.assert_array_equal(trace_points(GRID, rec, pts, (0.0,), 1.0)[0], pts)
 
 
 def test_constant_velocity_translates():
     c = (0.7, -0.3)
     x = np.array([[0.5, 1.5]])
     rec = constant_velocity_records(GRID, c, 0.0, 2.0)[0]
-    np.testing.assert_allclose(trace_points(GRID, rec, x, 2.0, 0.0),
+    np.testing.assert_allclose(trace_points(GRID, rec, x, (2.0,), 0.0)[0],
                                [[0.5 - 1.4, 1.5 + 0.6]], atol=1e-12)
     # feet are unwrapped, and a chain of records adds the shifts
     chained = trace_chain(GRID, constant_velocity_records(GRID, c, 0.0, 2.0, 8), x)
@@ -108,7 +108,7 @@ def test_trace_follows_a_time_dependent_record():
     dt = 0.5
     rec = StepRecord(0.0, dt, np.stack([coef, z, z, dt**3 * coef]))
     x = grid_pts(GRID)[:9]
-    foot = trace_points(GRID, rec, x, dt, 0.0)
+    foot = trace_points(GRID, rec, x, (dt,), 0.0)[0]
     np.testing.assert_allclose(foot, x - c * (dt + dt**4 / 4), atol=1e-13)
 
 
@@ -201,8 +201,9 @@ def test_displacement_composition_matches_direct_trace():
 
     disp = None
     for rec in records:
-        feet = trace_points(GRID, rec, pts, rec.t_start + dt, rec.t_start)
-        disp = compose_displacement(GRID, disp, feet)
+        feet = trace_points(GRID, rec, pts, (rec.t_start + dt,), rec.t_start)[0]
+        prev = None if disp is None else Jet(GRID, GRID.to_spectral(disp))
+        disp = compose_displacement(GRID, prev, feet)
     composed = pts + np.moveaxis(disp, 0, -1).reshape(-1, 2)
     assert np.abs(composed - direct).max() < 1e-7
 
@@ -219,7 +220,7 @@ def test_evaluate_displacement_matches_grid_values():
     c[-1, -2] = np.conj(c[1, 2])
     disp = np.stack([GRID.to_grid(c), -2 * GRID.to_grid(c)])
     pts = grid_pts(GRID)
-    vals = evaluate_displacement(GRID, disp, pts)
+    vals = GRID.eval_at(Jet(GRID, GRID.to_spectral(disp)), pts).T
     np.testing.assert_allclose(vals[:, 0], disp[0].ravel(), atol=1e-12)
     np.testing.assert_allclose(vals[:, 1], disp[1].ravel(), atol=1e-12)
 
@@ -233,22 +234,23 @@ def test_stepper_evaluations_match_the_dense_sum(n, dt, monkeypatch):
     u = u_random_solenoidal(grid, seed=5, kmax=6, amplitude=0.5)
     rec = steady_records(grid, u, 0.0, dt)[0]
     pts = grid_pts(grid)
-    feet = trace_points(grid, rec, pts, dt, 0.0)
+    feet = trace_points(grid, rec, pts, (dt,), 0.0)[0]
     disp = compose_displacement(grid, None, feet)
     assert grid._plan(feet)[2] is not None
-    vel = evaluate_displacement(grid, u, feet)
-    twice = compose_displacement(grid, disp, feet)
+    vel = grid.eval_at(Jet(grid, grid.to_spectral(u)), feet).T
+    twice = compose_displacement(grid, Jet(grid, grid.to_spectral(disp)), feet)
 
     def dense(self, coef, points):
-        return self._eval_dense(np.asarray(coef), np.asarray(points, dtype=float))
+        coef = coef.coef if isinstance(coef, Jet) else np.asarray(coef)
+        return self._eval_dense(coef, np.asarray(points, dtype=float))
 
     monkeypatch.setattr(TorusGrid, "eval_at", dense)
-    feet_dense = trace_points(grid, rec, pts, dt, 0.0)
+    feet_dense = trace_points(grid, rec, pts, (dt,), 0.0)[0]
     step = np.abs(feet_dense - pts).max()
     # the feet are absolute positions, so one ulp of a coordinate is the
     # floor under the gap; at 32^2 it exceeds 1e-13 * step
     assert np.abs(feet - feet_dense).max() <= 1e-13 * step + np.spacing(np.abs(pts).max())
-    vel_dense = evaluate_displacement(grid, u, feet)
+    vel_dense = grid.eval_at(Jet(grid, grid.to_spectral(u)), feet).T
     assert np.abs(vel - vel_dense).max() <= 1e-13 * np.abs(vel_dense).max()
-    twice_dense = compose_displacement(grid, disp, feet)
+    twice_dense = compose_displacement(grid, Jet(grid, grid.to_spectral(disp)), feet)
     assert np.abs(twice - twice_dense).max() <= 1e-13 * np.abs(twice_dense).max()
