@@ -367,24 +367,20 @@ def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRec
              slope, seeds=None):
     """One classical RK4 step of (u, phi) from state over [t, t + h].
 
-    k1 is the derivative pair (du/dt, dphi/dt) at state; slope(FlowState,
-    start) gives it at the other stages, its mass solves started from the
-    derivative pair start. The stage densities at t + h/2 and t + h ride
-    the characteristics of the velocity record, traced back to t and
-    composed with the state's displacement.
+    k1 is the derivative pair (du/dt, dphi/dt) at state. The densities at
+    t + h/2 and t + h ride the characteristics of the velocity record,
+    traced back to t and composed with the state's displacement. Four
+    evaluations follow: s2, s3, s4 and the end state. Each checks its
+    fields for blow-up (BlowUpError), solves its potential in the
+    problem's Galerkin space of phi, and calls slope(FlowState, start)
+    for its derivative pair.
 
-    Every mass solve starts from the nearest solution at hand. With no
-    seeds, each stage starts its potential from the previous stage's
-    (the first from state.mu) and its derivatives from the previous
-    stage's (the first from k1). seeds are the stages an earlier pass of
-    the same step returned; then each stage starts all three solves from
-    its match there.
-
-    Every potential is solved in the problem's Galerkin space of phi.
-    Returns (end_state, stages): the end-of-step state, its potential
-    solved afresh, and the (mu, (du/dt, dphi/dt)) of s2, s3 and s4 followed
-    by (end_state.mu, None). Raises BlowUpError on a non-finite stage or
-    end state.
+    One rule starts the three solves of an evaluation: from the (mu,
+    (du/dt, dphi/dt)) of the previous one, the first from (state.mu, k1);
+    or from its match in seeds, the evals of an earlier pass of the same
+    step, each popped as it is used so two passes' evaluations never
+    pile up. Returns (end_state, end_slope, evals), evals holding the
+    (mu, (du/dt, dphi/dt)) of the four evaluations in order.
     """
     g = problem.grid
     t = state.t
@@ -395,29 +391,26 @@ def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRec
     disp_half, disp = [compose_displacement(g, prev, f) for f in feet]
     del prev, feet  # one jet alive at a time: the next pass builds its own
     rho_half, rho_full = [density_from_displacement(problem.rho0, g, d) for d in (disp_half, disp)]
+    evals = []
 
-    def stage(tau, u_c, phi_c, rho_c, mu_start):
+    def evaluate(tau, u_c, phi_c, rho_c, d=None):
         _check_finite(tau, "velocity", u_c)
         _check_finite(tau, "order_parameter", phi_c)
-        return FlowState(tau, u_c, phi_c, rho_c, solve_mu(problem, phi_c, rho_c, x0=mu_start))
+        mu0, k0 = seeds.pop(0) if seeds is not None else (evals[-1] if evals else (state.mu, k1))
+        s = FlowState(tau, u_c, phi_c, rho_c, solve_mu(problem, phi_c, rho_c, x0=mu0), d)
+        _check_finite(tau, "chemical_potential", s.mu)
+        evals.append((s.mu, slope(s, k0)))
+        return s, evals[-1][1]
 
     _check_finite(t, "velocity", state.u)
     _check_finite(t, "order_parameter", state.phi)
-    mu, k = state.mu, k1
-    stages = []
-    for i, (c, rho_c) in enumerate(((h / 2, rho_half), (h / 2, rho_half), (h, rho_full))):
-        mu_start, k_start = (mu, k) if seeds is None else seeds[i]
-        s = stage(t + c, state.u + c * k[0], state.phi + c * k[1], rho_c, mu_start)
-        mu, k = s.mu, slope(s, k_start)
-        stages.append((mu, k))
-    (du2, dphi2), (du3, dphi3), (du4, dphi4) = (k for _, k in stages)
-    du1, dphi1 = k1
+    k = k1
+    for c, rho_c in ((h / 2, rho_half), (h / 2, rho_half), (h, rho_full)):
+        _, k = evaluate(t + c, state.u + c * k[0], state.phi + c * k[1], rho_c)
+    (du1, dphi1), (du2, dphi2), (du3, dphi3), (du4, dphi4) = [k1] + [k for _, k in evals]
     u_new = state.u + (h / 6) * (du1 + 2 * du2 + 2 * du3 + du4)
     phi_new = state.phi + (h / 6) * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
-    end = stage(t + h, u_new, phi_new, rho_full, mu if seeds is None else seeds[3][0])
-    _check_finite(t + h, "chemical_potential", end.mu)
-    stages.append((end.mu, None))
-    return FlowState(t + h, u_new, phi_new, rho_full, end.mu, disp), stages
+    return (*evaluate(t + h, u_new, phi_new, rho_full, disp), evals)
 
 
 def step(problem: Problem, state: FlowState, cfg: StepperConfig, *,
@@ -425,32 +418,28 @@ def step(problem: Problem, state: FlowState, cfg: StepperConfig, *,
     """One two-pass RK4 step. Returns (new_state, end-of-step
     derivatives) so callers can chain without re-evaluating.
 
-    Pass 1 starts each stage's solves from pass 0's solution of the same
-    stage; the end slope of the Hermite model starts from pass 0's k4,
-    and the returned end derivatives from that end slope."""
+    Pass 0 predicts the end state and its slope with a linear velocity
+    model. Pass 1 corrects with the Hermite cubic through them, each of
+    its evaluations started from pass 0's match; its end slope is the
+    returned derivative pair."""
     h = cfg.dt if dt is None else dt
     check_dt(problem, cfg, h)
 
-    def slope(st, start=None):
+    def slope(st, start):
         return rhs(problem, st, start=start)
 
     # stage 1 shares the state's own (consistent) chemical potential
-    k1 = deriv0 if deriv0 is not None else slope(state)
+    k1 = deriv0 if deriv0 is not None else rhs(problem, state)
 
     # pass 0: predictor with a linear velocity model
     linear = np.zeros((4,) + state.u.shape, dtype=complex)
     linear[0], linear[1] = state.u, h * k1[0]
-    pred, stages = rk4_step(problem, state, h, k1, StepRecord(state.t, h, linear), slope)
+    pred, end_slope, evals = rk4_step(problem, state, h, k1, StepRecord(state.t, h, linear), slope)
     del linear  # pass 1 holds no record of pass 0
-    end_slope = slope(pred, stages[2][1])
 
-    # pass 1: corrector with the cubic velocity model
-    new_state, _ = rk4_step(
-        problem, state, h, k1,
-        StepRecord.hermite(state.t, h, state.u, k1[0], pred.u, end_slope[0]), slope, stages,
-    )
-    del stages  # pass 1 was their only reader
-    return new_state, slope(new_state, end_slope)
+    # pass 1: corrector with the cubic velocity model, seeded by pass 0
+    hermite = StepRecord.hermite(state.t, h, state.u, k1[0], pred.u, end_slope[0])
+    return rk4_step(problem, state, h, k1, hermite, slope, evals)[:2]
 
 
 @dataclass

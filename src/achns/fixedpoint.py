@@ -129,7 +129,9 @@ def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
     The density rides the characteristics of the frozen velocity; the
     produced trajectory is sampled on the frozen pair's own grid and
     carries matching slopes, so it can be fed back in as the next
-    frozen pair.
+    frozen pair. Each step is one `rk4_step`, whose end slope is both
+    the sample's slope and the next step's k1; only the first k1 is
+    evaluated here.
     """
     if state.t != 0.0:
         raise DomainError("the start state must sit at t=0, where the frozen pair starts")
@@ -141,16 +143,13 @@ def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
     states = [state]
     for k in range(frozen.n_steps):
         urec, prec = frozen.records(k)
-        # the density rides the frozen velocity; the stages see the
-        # frozen pair's cubic models at their own times
-        state, stages = rk4_step(
+        # the density rides the frozen velocity; every evaluation sees
+        # the frozen pair's cubic models at its own time
+        state, k1, _ = rk4_step(
             problem, state, h, k1, urec,
             lambda st, start: linearized_rhs(problem, st, urec.coef_at(st.t), prec.coef_at(st.t),
                                              start=start),
         )
-        # the next step's k1 starts from this step's stage-4 derivative
-        k1 = linearized_rhs(problem, state, frozen.u[k + 1], frozen.phi[k + 1], start=stages[2][1])
-        del stages
         us.append(state.u)
         dus.append(k1[0])
         phis.append(state.phi)

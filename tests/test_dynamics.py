@@ -601,25 +601,29 @@ def test_rk4_step_stages_and_end_state():
     rng = np.random.default_rng(4)
     c_u = g.leray_project(g.to_spectral(rng.standard_normal((2, 8, 8))))
     c_phi = g.to_spectral(rng.standard_normal((8, 8)))
-    seen = []
-    starts = []
+    seen, starts, slopes = [], [], []
 
     def slope(st, start):
         seen.append(st)
         starts.append(start)
-        return c_u, c_phi
+        slopes.append((c_u.copy(), c_phi.copy()))
+        return slopes[-1]
 
     still = StepRecord(0.5, h, np.zeros((4,) + state.u.shape, dtype=complex))
-    new, stages = rk4_step(prob, state, h, (c_u, c_phi), still, slope)
-    assert [st.t for st in seen] == [0.5 + h / 2, 0.5 + h / 2, 0.5 + h]
-    # with no seeds, each stage's solves start from the previous stage's
-    assert all(start[0] is c_u and start[1] is c_phi for start in starts)
-    assert len(stages) == 4 and stages[3][1] is None
-    for (mu, _), st in zip(stages, seen + [new]):
-        assert mu is st.mu
-    assert all(k[0] is c_u and k[1] is c_phi for _, k in stages[:3])
+    k1 = (c_u, c_phi)
+    new, end_slope, evals = rk4_step(prob, state, h, k1, still, slope)
+    # four evaluations: s2, s3, s4 and the end state
+    assert [st.t for st in seen] == [0.5 + h / 2, 0.5 + h / 2, 0.5 + h, 0.5 + h]
+    assert seen[3] is new
+    # with no seeds, each evaluation starts from the previous one's
+    # derivatives: s2 from k1, the end state from s4's
+    assert starts[0] is k1
+    assert all(starts[i] is slopes[i - 1] for i in range(1, 4))
+    assert len(evals) == 4 and end_slope is evals[3][1] is slopes[3]
+    for (mu, k), st, sl in zip(evals, seen, slopes):
+        assert mu is st.mu and k is sl
     # a resting velocity model leaves the density where it was
-    for st in seen + [new]:
+    for st in seen:
         np.testing.assert_array_equal(st.rho.values, state.rho.values)
     np.testing.assert_array_equal(new.disp, 0.0)
     # a constant slope is integrated exactly, up to rounding
@@ -627,7 +631,7 @@ def test_rk4_step_stages_and_end_state():
     assert np.max(np.abs(new.u - (state.u + h * c_u))) < 1e-15
     assert np.max(np.abs(new.phi - (state.phi + h * c_phi))) < 1e-15
     # the stage potentials and the end one are solved for their own phi
-    for st in seen[1:] + [new]:
+    for st in seen[1:]:
         fresh = solve_mu(prob, st.phi, st.rho)
         assert np.max(np.abs(fresh - st.mu)) <= 1e-9 * np.max(np.abs(fresh))
 
@@ -711,6 +715,43 @@ def test_each_pass_builds_four_jets_one_alive_at_a_time(monkeypatch):
     monkeypatch.setattr(dynamics, "rk4_step", counted_rk4)
     step(prob, state, cfg, deriv0=deriv)
     assert per_pass == [4, 4]
+
+
+def test_step_lets_pass_0_go_before_pass_1_needs_the_room(monkeypatch):
+    # one 16^2 step with deriv0: pass 0's linear velocity record is dead
+    # once pass 1 starts, and its s2-s4 derivatives, each seed popped as
+    # pass 1 uses it, are dead by pass 1's end evaluation
+    prob = make_problem(n=16)
+    g = prob.grid
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    state = make_state(prob, u_taylor_green(g, 0.3), phi_band_random(g, seed=7, kmax=2, amplitude=0.4))
+    deriv0 = rhs(prob, state)
+    rk4, slope = dynamics.rk4_step, dynamics.rhs
+    record, derivs, calls, checked = [], [], [], []
+
+    def traced_rk4(problem, st, h, k1, velocity, *args):
+        if record:
+            assert all(ref() is None for ref in record), "pass 0's linear record is alive"
+            checked.append("record")
+        else:
+            record.extend([weakref.ref(velocity), weakref.ref(velocity.coefs)])
+        return rk4(problem, st, h, k1, velocity, *args)
+
+    def traced_rhs(problem, st, *, start=None):
+        calls.append(st.t)
+        if len(calls) == 8:  # pass 1's end evaluation
+            assert all(ref() is None for ref in derivs), "pass 0's s2-s4 derivatives are alive"
+            checked.append("derivatives")
+        out = slope(problem, st, start=start)
+        if len(calls) <= 3:  # pass 0's s2, s3 and s4
+            derivs.extend(weakref.ref(a) for a in out)
+        return out
+
+    monkeypatch.setattr(dynamics, "rk4_step", traced_rk4)
+    monkeypatch.setattr(dynamics, "rhs", traced_rhs)
+    step(prob, state, cfg, deriv0=deriv0)
+    assert len(calls) == 8 and len(derivs) == 6
+    assert checked == ["record", "derivatives"]
 
 
 def test_step_stokes_decay_closed_form():

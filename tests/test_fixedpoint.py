@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from achns import dynamics, fixedpoint
 from achns.anisotropy import quadratic_form
 from achns.basis import TorusGrid
 from achns.diagnostics import energy_report
-from achns.dynamics import MaterialLaws, Problem, StepperConfig, run
+from achns.dynamics import MaterialLaws, Problem, StepperConfig, _norm, rhs, run, stability_bound, step
 from achns.errors import DimensionError, DomainError, StabilityError
 from achns.fixedpoint import (
     FrozenPair,
@@ -19,6 +20,7 @@ from achns.fixedpoint import (
 )
 from achns.potential import PotentialSpec, f_eps
 from achns.profiles import (
+    BlobDensity,
     ConstantDensity,
     SinusoidalDensity,
     phi_band_random,
@@ -152,6 +154,79 @@ def test_lambda_map_preconditions():
     big = constant_pair(g, st.u, st.phi, 0.5, 3)
     with pytest.raises(StabilityError):
         lambda_map(pb, big, st, StepperConfig(dt=0.5, t_end=0.0))
+
+
+def _blob_picard_start(n_steps):
+    # a 16^2 start at a 1:100 blob and a frozen pair that moves: the map's
+    # first output from the constant pair
+    pb = make_problem(rho=BlobDensity(1.0, 99.0, 0.8, (np.pi, np.pi), BOX))
+    g = pb.grid
+    h = 0.5 * stability_bound(pb)
+    cfg = StepperConfig(dt=h, t_end=0.0)
+    st = pb.initial_state(u_taylor_green(g, 0.3), phi_band_random(g, seed=7, kmax=3, amplitude=0.3))
+    frozen = lambda_map(pb, constant_pair(g, st.u, st.phi, h, n_steps), st, cfg).pair
+    return pb, cfg, st, frozen
+
+
+def test_lambda_map_starts_each_solve_from_the_nearest_solution(monkeypatch):
+    # every solve seen as perfbench's wrap_cg sees it: by _cg's five
+    # positional arguments
+    pb, cfg, st, frozen = _blob_picard_start(2)
+    cg = dynamics._cg
+    solves = []
+
+    def traced_cg(apply_a, b, x0, rtol, label):
+        solves.append((label, _norm(b - apply_a(x0)) / _norm(b)))
+        return cg(apply_a, b, x0, rtol, label)
+
+    monkeypatch.setattr(dynamics, "_cg", traced_cg)
+    lambda_map(pb, frozen, st, cfg)
+    # the first k1, then four evaluations per step
+    assert [label for label, _ in solves[:2]] == ["velocity", "concentration"]
+    per_step = ["potential", "velocity", "concentration"] * 4
+    steps = [solves[2 + 12 * k: 14 + 12 * k] for k in range(2)]
+    assert len(solves) == 2 + 24
+    for k, solves_k in enumerate(steps):
+        assert [label for label, _ in solves_k] == per_step, k
+        # b / rho_bar leaves a relative residual above 1 at this contrast
+        for i, (label, r0) in enumerate(solves_k[1:], 1):
+            assert r0 < 0.2, (k, i, label, r0)
+
+
+def test_step_and_lambda_map_evaluate_only_inside_rk4_step(monkeypatch):
+    # with deriv0 given, step makes every rhs and solve_mu call inside
+    # its two rk4_step calls; lambda_map makes one linearized_rhs call
+    # outside rk4_step, its first k1
+    depth, outside = [0], []
+
+    def inside(fn):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            if depth[0] == 0:
+                outside.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    pb, cfg, st, frozen = _blob_picard_start(2)
+    deriv0 = rhs(pb, st)
+    for module in (dynamics, fixedpoint):
+        monkeypatch.setattr(module, "rk4_step", inside(module.rk4_step))
+    monkeypatch.setattr(dynamics, "rhs", counted("rhs", dynamics.rhs))
+    monkeypatch.setattr(dynamics, "solve_mu", counted("solve_mu", dynamics.solve_mu))
+    monkeypatch.setattr(fixedpoint, "linearized_rhs",
+                        counted("linearized_rhs", fixedpoint.linearized_rhs))
+    step(pb, st, cfg, dt=frozen.dt, deriv0=deriv0)
+    assert outside == []
+    lambda_map(pb, frozen, st, cfg)
+    assert outside == ["linearized_rhs"]
 
 
 def test_lambda_map_energy_identity_with_remainder(demo16):
