@@ -121,7 +121,7 @@ class LambdaTrajectory:
 
 
 def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
-               cfg: StepperConfig) -> LambdaTrajectory:
+               cfg: StepperConfig, deriv0=None) -> LambdaTrajectory:
     """Integrate the linearized system driven by the frozen pair from
     the start state, at the pair's own step; cfg supplies only the
     stability policy.
@@ -130,14 +130,16 @@ def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
     produced trajectory is sampled on the frozen pair's own grid and
     carries matching slopes, so it can be fed back in as the next
     frozen pair. Each step is one `rk4_step`, whose end slope is both
-    the sample's slope and the next step's k1; only the first k1 is
-    evaluated here.
+    the sample's slope and the next step's k1. The first k1 is deriv0
+    when given, the linearized derivative pair at the start state under
+    the pair's first samples, and is evaluated here otherwise.
     """
     if state.t != 0.0:
         raise DomainError("the start state must sit at t=0, where the frozen pair starts")
     h = frozen.dt
     check_dt(problem, cfg, h)
-    k1 = linearized_rhs(problem, state, frozen.u[0], frozen.phi[0])
+    k1 = deriv0 if deriv0 is not None else linearized_rhs(problem, state, frozen.u[0],
+                                                          frozen.phi[0])
     us, dus = [state.u], [k1[0]]
     phis, dphis = [state.phi], [k1[1]]
     states = [state]
@@ -228,10 +230,13 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     frozen = constant_pair(g, state0.u, state0.phi, cfg.dt, n_steps)
     distances = []
     r_history = []
-    traj = None
+    traj = deriv0 = None
     converged = False
     for _ in range(max_iter):
-        traj = lambda_map(problem, frozen, state0, cfg)
+        traj = lambda_map(problem, frozen, state0, cfg, deriv0)
+        # every pair starts at state0's u and phi, so every map's first
+        # derivative pair is the first map's
+        deriv0 = traj.pair.du[0], traj.pair.dphi[0]
         dist = trajectory_distance(g, traj.pair, frozen)
         r_worst = max(
             abs(residual_r_eps(g, st, frozen.u[k], problem.spec))

@@ -195,8 +195,8 @@ def test_lambda_map_starts_each_solve_from_the_nearest_solution(monkeypatch):
 
 def test_step_and_lambda_map_evaluate_only_inside_rk4_step(monkeypatch):
     # with deriv0 given, step makes every rhs and solve_mu call inside
-    # its two rk4_step calls; lambda_map makes one linearized_rhs call
-    # outside rk4_step, its first k1
+    # its two rk4_step calls, and so does lambda_map every linearized_rhs
+    # call; without it lambda_map makes one outside, its first k1
     depth, outside = [0], []
 
     def inside(fn):
@@ -225,8 +225,11 @@ def test_step_and_lambda_map_evaluate_only_inside_rk4_step(monkeypatch):
                         counted("linearized_rhs", fixedpoint.linearized_rhs))
     step(pb, st, cfg, dt=frozen.dt, deriv0=deriv0)
     assert outside == []
-    lambda_map(pb, frozen, st, cfg)
+    traj = lambda_map(pb, frozen, st, cfg)
     assert outside == ["linearized_rhs"]
+    del outside[:]
+    lambda_map(pb, frozen, st, cfg, deriv0=(traj.pair.du[0], traj.pair.dphi[0]))
+    assert outside == []
 
 
 def test_lambda_map_energy_identity_with_remainder(demo16):
