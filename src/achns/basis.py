@@ -4,20 +4,18 @@ Fields live in two equivalent representations:
 
 * grid values, real arrays of shape ``(N1, N2)`` sampled at collocation
   points ``x_i = i * L/N``;
-* spectral coefficients, complex arrays of the same shape holding the
-  coefficients of ``f(x) = sum_k c_k exp(i k.x)`` in numpy FFT layout,
-  nonzero only inside the retained (dealiased) band.
+* the coefficients of ``f(x) = sum_k c_k exp(i k.x)`` over the retained
+  band ``|k_i| <= K_i``, ``K_i = (N_i - 1) // 3``, where the product of
+  two retained fields is representable on the grid without aliasing.
 
-Every coefficient array is that of a real field, so it is exactly
-Hermitian, ``c_-k == conj(c_k)`` bit for bit: ``to_spectral`` mirrors, and
-``grad``, ``div``, ``leray_project``, real linear combinations and
-truncations to ``valid_mode_counts`` keep the symmetry. ``to_grid`` and
-the Taylor path of ``eval_at`` read the half plane k2 >= 0 alone.
-
-The retained band keeps integer wavenumbers ``|k_i| <= K_i`` with
-``K_i = (N_i - 1) // 3``, so the product of any two retained fields is
-representable on the grid without aliasing and pseudo-spectral products
-followed by re-masking agree with exact Galerkin products.
+Every field is real, ``c_-k == conj(c_k)``, so the band's half plane
+k2 >= 0 determines it and is what is stored: complex arrays of shape
+``band_shape == (2K1+1, K2+1)``, rows k1 = 0..K1 then -K1..-1, columns
+k2 = 0..K2. Column 0 holds both k1 and -k1, exactly conjugate bit for
+bit: ``to_spectral`` mirrors it, and ``grad``, ``div``,
+``leray_project``, real linear combinations and truncations to
+``valid_mode_counts`` keep it so. A column k2 > 0 also stands for its
+conjugate mirror, so inner products count it twice (`vdot`).
 
 Vector fields are stacked along a leading axis of length 2.
 
@@ -35,11 +33,6 @@ import scipy.fft
 from .errors import DimensionError, DomainError
 
 
-def _check_extent(n):
-    if n < 8 or (n & (n - 1)) != 0:
-        raise DimensionError(f"grid extent must be a power of two >= 8, got {n}")
-
-
 @dataclass(frozen=True)
 class TorusGrid:
     """Geometry, mode bookkeeping and transforms for one periodic box."""
@@ -54,7 +47,8 @@ class TorusGrid:
             if not (np.isfinite(ell) and ell > 0):
                 raise DimensionError(f"box side must be positive, got {ell}")
         for n in self.n_grid:
-            _check_extent(n)
+            if n < 8 or (n & (n - 1)) != 0:
+                raise DimensionError(f"grid extent must be a power of two >= 8, got {n}")
         object.__setattr__(self, "lengths", (float(self.lengths[0]), float(self.lengths[1])))
         object.__setattr__(self, "n_grid", (int(self.n_grid[0]), int(self.n_grid[1])))
 
@@ -84,99 +78,98 @@ class TorusGrid:
 
     # --- wavenumbers ----------------------------------------------------
 
-    @cached_property
-    def k1_int(self):
-        n = self.n_grid[0]
-        return np.rint(scipy.fft.fftfreq(n) * n).astype(int)
+    @property
+    def cutoff(self):
+        return (self.n_grid[0] - 1) // 3, (self.n_grid[1] - 1) // 3
+
+    @property
+    def band_shape(self):
+        """Shape (2 K1 + 1, K2 + 1) of one field's coefficient array."""
+        kc1, kc2 = self.cutoff
+        return 2 * kc1 + 1, kc2 + 1
 
     @cached_property
-    def k2_int(self):
-        n = self.n_grid[1]
-        return np.rint(scipy.fft.fftfreq(n) * n).astype(int)
+    def k1_int(self):
+        """Integer wavenumbers of the band's rows, 0..K1, -K1..-1."""
+        kc1 = self.cutoff[0]
+        return np.concatenate([np.arange(kc1 + 1), np.arange(-kc1, 0)])
 
     @cached_property
     def k1(self):
-        """Physical wavenumbers along axis 0, shaped (N1, 1)."""
+        """Physical wavenumbers of the band's rows, shaped (2K1+1, 1)."""
         return (2.0 * np.pi / self.lengths[0]) * self.k1_int[:, None]
 
     @cached_property
     def k2(self):
-        """Physical wavenumbers along axis 1, shaped (1, N2)."""
-        return (2.0 * np.pi / self.lengths[1]) * self.k2_int[None, :]
+        """Physical wavenumbers of the band's columns k2 = 0..K2, (1, K2+1)."""
+        return (2.0 * np.pi / self.lengths[1]) * np.arange(self.cutoff[1] + 1)[None, :]
 
     @cached_property
     def k_sq(self):
         return self.k1**2 + self.k2**2
 
     @property
-    def cutoff(self):
-        return (self.n_grid[0] - 1) // 3, (self.n_grid[1] - 1) // 3
-
-    @cached_property
-    def dealias_mask(self):
-        kc1, kc2 = self.cutoff
-        return (np.abs(self.k1_int)[:, None] <= kc1) & (np.abs(self.k2_int)[None, :] <= kc2)
-
-    @cached_property
     def n_band_modes(self):
-        return int(np.count_nonzero(self.dealias_mask))
-
-    @cached_property
-    def mode_order(self):
-        """Flat indices of retained modes, ascending (|k|^2, k1, k2).
-
-        This is the canonical enumeration used by spectral truncation and
-        by the snapshot format.
-        """
-        flat = np.flatnonzero(self.dealias_mask.ravel())
-        kk1 = np.repeat(self.k1_int, self.n_grid[1])[flat]
-        kk2 = np.tile(self.k2_int, self.n_grid[0])[flat]
-        ksq = self.k_sq.ravel()[flat]
-        order = np.lexsort((kk2, kk1, ksq))
-        return flat[order]
+        """Modes of the whole band, k and -k counted apart."""
+        kc1, kc2 = self.cutoff
+        return (2 * kc1 + 1) * (2 * kc2 + 1)
 
     @cached_property
     def mode_list(self):
-        """Integer wavenumber pairs (n_band_modes, 2) in canonical order."""
-        kk1 = np.repeat(self.k1_int, self.n_grid[1])[self.mode_order]
-        kk2 = np.tile(self.k2_int, self.n_grid[0])[self.mode_order]
-        return np.stack([kk1, kk2], axis=1)
+        """Integer wavenumber pairs (n_band_modes, 2) of the whole band,
+        ascending (|k|^2, k1, k2): the canonical enumeration of spectral
+        truncation and of the snapshot format."""
+        kc1, kc2 = self.cutoff
+        k = np.stack(np.meshgrid(np.arange(-kc1, kc1 + 1), np.arange(-kc2, kc2 + 1),
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+        ksq = np.sum((k * (2.0 * np.pi / np.array(self.lengths))) ** 2, axis=1)
+        return k[np.lexsort((k[:, 1], k[:, 0], ksq))]
+
+    @cached_property
+    def mode_order(self):
+        """Flat index into a coefficient array of each mode of mode_list:
+        of k for k2 >= 0; of -k, whose conjugate c_k is, for k2 < 0."""
+        k1, k2 = self.mode_list.T
+        sign = np.where(k2 < 0, -1, 1)
+        rows, cols = self.band_shape
+        return (sign * k1) % rows * cols + sign * k2
 
     # --- transforms -----------------------------------------------------
 
-    def _check_grid_shape(self, values):
-        if values.shape[-2:] != self.n_grid:
-            raise DimensionError(
-                f"field shape {values.shape} does not match grid {self.n_grid}"
-            )
+    def _check_shape(self, arr, shape, what):
+        if arr.shape[-2:] != shape:
+            raise DimensionError(f"{what} shape {arr.shape} does not match {shape}")
 
     def to_spectral(self, values):
-        """Grid values (..., N1, N2) -> retained-band coefficients.
+        """Grid values (..., N1, N2) -> band coefficients (..., 2K1+1, K2+1).
 
-        One real-to-complex transform per stack gives the columns
-        k2 = 0..K2; the columns k2 = -K2..-1, and the rows k1 < 0 of
-        column 0, are their conjugate mirrors, so the result is exactly
-        Hermitian.
+        One real-to-complex transform per stack, then the band gather;
+        the rows k1 < 0 of column 0 become the conjugate mirrors of the
+        rows k1 > 0, so that column is exactly conjugate-symmetric.
         """
         values = np.asarray(values)
-        self._check_grid_shape(values)
-        n1, n2 = self.n_grid
+        self._check_shape(values, self.n_grid, "field")
         kc1, kc2 = self.cutoff
-        h = scipy.fft.rfft2(values, norm="forward")
-        out = np.zeros(h.shape[:-1] + (n2,), dtype=complex)
-        out[..., :kc1 + 1, :kc2 + 1] = h[..., :kc1 + 1, :kc2 + 1]
-        out[..., n1 - kc1:, 1:kc2 + 1] = h[..., n1 - kc1:, 1:kc2 + 1]
-        out[..., n1 - kc1:, 0] = np.conj(h[..., kc1:0:-1, 0])
-        out[..., 0, n2 - kc2:] = np.conj(out[..., 0, kc2:0:-1])
-        out[..., 1:, n2 - kc2:] = np.conj(out[..., :0:-1, kc2:0:-1])
+        out = scipy.fft.rfft2(values, norm="forward")[..., self.k1_int % self.n_grid[0], :kc2 + 1]
+        out[..., kc1 + 1:, 0] = np.conj(out[..., kc1:0:-1, 0])
+        return out
+
+    def _pad(self, coef, n_cols):
+        """Band coefficients (..., 2K1+1, K2+1) as the columns 0..n_cols-1
+        of the full spectrum (..., N1, n_cols), zero outside the band."""
+        n1, kc1 = self.n_grid[0], self.cutoff[0]
+        out = np.zeros(coef.shape[:-2] + (n1, n_cols), dtype=complex)
+        out[..., :kc1 + 1, :coef.shape[-1]] = coef[..., :kc1 + 1, :]
+        out[..., n1 - kc1:, :coef.shape[-1]] = coef[..., kc1 + 1:, :]
         return out
 
     def to_grid(self, coef):
-        """Coefficients (..., N1, N2) of real fields -> grid values, by one
-        inverse real transform of their Hermitian half k2 = 0..N2/2."""
+        """Band coefficients (..., 2K1+1, K2+1) -> grid values, by one inverse
+        real transform of the zero-padded half plane k2 = 0..N2/2."""
         coef = np.asarray(coef)
-        self._check_grid_shape(coef)
-        return scipy.fft.irfft2(coef[..., :self.n_grid[1] // 2 + 1], s=self.n_grid, norm="forward")
+        self._check_shape(coef, self.band_shape, "coefficient")
+        return scipy.fft.irfft2(self._pad(coef, self.n_grid[1] // 2 + 1), s=self.n_grid,
+                                norm="forward")
 
     # --- calculus ---------------------------------------------------------
 
@@ -190,7 +183,7 @@ class TorusGrid:
 
     @cached_property
     def _leray_factors(self):
-        """k / |k|^2 as a (2, N1, N2) stack, 0 at the zero mode."""
+        """k / |k|^2 as a (2, 2K1+1, K2+1) stack, 0 at the zero mode."""
         ksq = self.k_sq.copy()
         ksq[0, 0] = 1.0  # zero mode handled by k being zero
         return np.stack(np.broadcast_arrays(self.k1 / ksq, self.k2 / ksq))
@@ -205,16 +198,18 @@ class TorusGrid:
 
     @cached_property
     def valid_mode_counts(self):
-        """Counts n whose prefix mode_order[:n] is closed under k -> -k (0
-        and the ends of whole |k|^2 shells): the truncations of real fields."""
-        n1, n2 = self.n_grid
-        i, j = np.divmod(self.mode_order, n2)
-        rank = np.empty(n1 * n2, dtype=int)
-        rank[self.mode_order] = np.arange(self.n_band_modes)
-        # a prefix of n modes is closed when the ranks of their -k are 0..n-1
-        reach = np.maximum.accumulate(rank[(-i) % n1 * n2 + (-j) % n2])
-        ends = np.flatnonzero(reach == np.arange(self.n_band_modes)) + 1
-        return frozenset([0, *ends.tolist()])
+        """Counts n whose prefix mode_list[:n] is closed under k -> -k, the
+        truncations of real fields: 0 and the ends of whole |k|^2 shells,
+        since -k has the |k|^2 of k and negation reverses a shell's order."""
+        ksq = np.sum((self.mode_list * (2.0 * np.pi / np.array(self.lengths))) ** 2, axis=1)
+        ends = np.flatnonzero(np.diff(ksq)) + 1
+        return frozenset([0, *ends.tolist(), self.n_band_modes])
+
+    @cached_property
+    def _band_rank(self):
+        """Rank in mode_list of the mode each coefficient entry holds."""
+        held = self.mode_list[:, 1] >= 0
+        return np.flatnonzero(held)[np.argsort(self.mode_order[held])].reshape(self.band_shape)
 
     def check_mode_count(self, n_modes):
         """DomainError unless n_modes is None (the whole band) or in
@@ -232,21 +227,13 @@ class TorusGrid:
                           f"valid counts are {below} and {above}")
 
     def project_scalar(self, coef, n_modes):
-        """Keep the n_modes lowest-|k|^2 retained modes of a scalar field
-        (N1, N2) or of each field of a stack (..., N1, N2).
-
-        Ties in |k|^2 are broken lexicographically on (k1, k2), matching
-        the canonical mode order. n_modes must be in valid_mode_counts;
-        None keeps the whole band and returns coef itself.
-        """
+        """Keep the first n_modes of mode_list in a field or in each field
+        of a stack. n_modes must be in valid_mode_counts, so each kept k
+        keeps its -k; None keeps the whole band and returns coef itself."""
         if n_modes is None:
             return coef
         self.check_mode_count(n_modes)
-        flat = coef.reshape(coef.shape[:-2] + (-1,))
-        out = np.zeros_like(flat)
-        keep = self.mode_order[:n_modes]
-        out[..., keep] = flat[..., keep]
-        return out.reshape(coef.shape)
+        return np.where(self._band_rank < n_modes, coef, 0)
 
     # --- quadrature --------------------------------------------------------
 
@@ -260,35 +247,21 @@ class TorusGrid:
 
     def norm_l2_spectral(self, coef):
         """L2 norm from coefficients by the Parseval identity."""
-        return float(np.sqrt(self.area * np.sum(np.abs(coef) ** 2)))
+        return float(np.sqrt(self.area * vdot(coef, coef)))
 
     # --- nonuniform evaluation ------------------------------------------
 
-    @cached_property
-    def _band_index(self):
-        """Index arrays selecting the retained band as a dense submatrix,
-        each in FFT order 0..K, -K..-1."""
-        kc1, kc2 = self.cutoff
-        rows = np.concatenate([np.arange(kc1 + 1), np.arange(self.n_grid[0] - kc1, self.n_grid[0])])
-        cols = np.concatenate([np.arange(kc2 + 1), np.arange(self.n_grid[1] - kc2, self.n_grid[1])])
-        return rows, cols
-
-    @staticmethod
-    def _phase_matrix(theta, kmax):
-        """exp(i k theta) for k in FFT order 0..K, -K..-1, shaped (2K+1, P);
-        the negative powers are conjugates of the positive ones."""
-        pos = _powers(np.exp(1j * theta), kmax)
-        return np.concatenate([pos, np.conj(pos[:0:-1])])
-
     def _eval_dense(self, stack, points):
-        """Direct trigonometric sum of fields (m, N1, N2) over the
-        retained band, O(P K1 K2); the phase matrices serve every field."""
-        rows, cols = self._band_index
+        """Direct trigonometric sum of fields (m, 2K1+1, K2+1) over the
+        band, O(P K1 K2), the columns k2 > 0 twice for their mirrors. The
+        phase matrices exp(i k theta), rows in the band's order, serve
+        every field; the powers k1 < 0 are conjugates of those k1 > 0."""
         kc1, kc2 = self.cutoff
-        sub = stack[..., rows[:, None], cols[None, :]]
-        e1 = self._phase_matrix((2.0 * np.pi / self.lengths[0]) * points[:, 0], kc1)
-        e2 = self._phase_matrix((2.0 * np.pi / self.lengths[1]) * points[:, 1], kc2)
-        return np.einsum("...jp,jp->...p", sub @ e2, e1).real
+        e1 = _powers(np.exp(1j * (2.0 * np.pi / self.lengths[0]) * points[:, 0]), kc1)
+        e1 = np.concatenate([e1, np.conj(e1[:0:-1])])
+        e2 = _powers(np.exp(1j * (2.0 * np.pi / self.lengths[1]) * points[:, 1]), kc2)
+        weight = np.where(np.arange(kc2 + 1) > 0, 2.0, 1.0)
+        return np.einsum("...jp,jp->...p", (stack * weight) @ e2, e1).real
 
     def _taylor_order(self, delta):
         """Least order M with s^(M+1)/(M+1)! <= 2^-53 for offsets delta
@@ -317,9 +290,10 @@ class TorusGrid:
         dense sum takes fewer operations.
 
         The Taylor path costs (M+1)(M+2)/2 inverse FFTs of N1 N2 log2(N1 N2)
-        operations and as many terms per point; the dense sum costs
-        (2K1+1)(2K2+1) terms per point. Each call is priced on purpose as if
-        no `Jet` held fields, so a jet moves no plan and no bit.
+        operations and as many terms per point; the dense sum is priced at
+        the whole band's (2K1+1)(2K2+1) terms per point. Each call is priced
+        on purpose as if no `Jet` held fields, so a jet moves no plan and no
+        bit.
         """
         h = np.array(self.lengths) / np.array(self.n_grid)
         nodes = np.rint(points / h)
@@ -336,7 +310,7 @@ class TorusGrid:
     def _eval_taylor(self, jet, nodes, delta, order):
         """Taylor sum about the nearest nodes, over a + b <= order, of
         delta1^a delta2^b d1^a d2^b f / (a! b!) for a jet (or coefficients)
-        of fields (m, N1, N2), term by term in degree-major order."""
+        of fields (m, 2K1+1, K2+1), term by term in degree-major order."""
         jet = jet if isinstance(jet, Jet) else Jet(self, jet)
         if order > jet.order:
             jet.extend(order)
@@ -355,7 +329,7 @@ class TorusGrid:
     def eval_at(self, coef, points):
         """Evaluate retained-band fields at arbitrary points.
 
-        coef is one real field (N1, N2), a stack (m, N1, N2) of them, or
+        coef is one real field (2K1+1, K2+1), a stack (m, 2K1+1, K2+1), or
         a `Jet` of either; points has shape (P, 2) and need not be
         wrapped into the box. Returns (P,) or (m, P): sum_k c_k exp(i k.x)
         over the band.
@@ -384,41 +358,49 @@ class TorusGrid:
             raise DimensionError("points must have shape (P, 2)")
         nodes, delta, order = self._plan(points)
         if order is None:
-            vals = self._eval_dense(jet.coef.reshape((-1,) + self.n_grid), points)
+            vals = self._eval_dense(jet.coef.reshape((-1,) + self.band_shape), points)
         else:
             vals = self._eval_taylor(jet, nodes, delta, order)
         return vals.reshape(jet.coef.shape[:-2] + (len(points),))
 
 
 class Jet:
-    """Coefficients of one real field (N1, N2) or a stack (m, N1, N2) and
-    their Taylor derivative fields d1^a d2^b f / (a! b!) on the grid, built
+    """Coefficients of one real field or a stack (m, 2K1+1, K2+1) and their
+    Taylor derivative fields d1^a d2^b f / (a! b!) on the grid, built
     degree by degree up to the highest order any evaluation has asked for
     and held, (M+1)(M+2)/2 grids per field, until the jet is dropped."""
 
     def __init__(self, grid, coef):
         self.grid, self.coef, self.order = grid, np.asarray(coef), -1
-        grid._check_grid_shape(self.coef)
+        grid._check_shape(self.coef, grid.band_shape, "coefficient")
         self._parts = []   # per power a: (i k1)^a / a! times the band, inverse FFT along axis 0
         self.fields = []  # per degree d: the fields (a, d - a), a = 0..d, as (d+1, m, N1 N2)
 
     def extend(self, order):
-        """Build the fields of the degrees above self.order up to order from
-        the band's columns k2 = 0..K2, which determine a real field: one FFT
-        along axis 0 per power a, one real inverse FFT along axis 1 per degree."""
+        """Build the fields of the degrees above self.order up to order:
+        one FFT along axis 0 per power a, one real inverse FFT along axis
+        1 per degree."""
         g = self.grid
         (n1, n2), kc2 = g.n_grid, g.cutoff[1]
-        half = self.coef.reshape((-1,) + g.n_grid)[..., :kc2 + 1] * g.dealias_mask[:, :kc2 + 1]
+        band = self.coef.reshape((-1,) + g.band_shape)
         powers = np.arange(order + 1)
         fact = np.cumprod(np.maximum(powers, 1)).astype(float)[:, None, None]
-        sym1 = (1j * g.k1) ** powers[:, None, None] / fact              # (M+1, N1, 1)
-        sym2 = (1j * g.k2[:, :kc2 + 1]) ** powers[:, None, None] / fact  # (M+1, 1, K2+1)
+        sym1 = (1j * g.k1) ** powers[:, None, None] / fact  # (M+1, 2K1+1, 1)
+        sym2 = (1j * g.k2) ** powers[:, None, None] / fact  # (M+1, 1, K2+1)
         for d in range(self.order + 1, order + 1):
-            self._parts.append(scipy.fft.ifft(sym1[d] * half, axis=-2, norm="forward"))
+            self._parts.append(scipy.fft.ifft(g._pad(sym1[d] * band, kc2 + 1), axis=-2,
+                                              norm="forward"))
             fields = scipy.fft.irfft(np.stack(self._parts) * sym2[d::-1][:, None], n=n2,
                                      axis=-1, norm="forward")
             self.fields.append(fields.reshape(fields.shape[:2] + (n1 * n2,)))
         self.order = max(self.order, order)
+
+
+def vdot(a, b):
+    """Re np.vdot(a, b) of the full-plane coefficients of real fields,
+    from their band halves (..., 2K1+1, K2+1): a column k2 > 0 stands for
+    itself and its conjugate mirror, so it counts twice."""
+    return (2 * np.vdot(a, b) - np.vdot(a[..., 0], b[..., 0])).real
 
 
 def _powers(base, top):

@@ -197,12 +197,9 @@ def _cmd_besov(args) -> int:
 # --- sweep -------------------------------------------------------------------
 
 def _lift_modes(coarse, fine, coef):
-    """Copy coarse-band coefficients into a fine-grid spectral array."""
-    out = np.zeros(fine.n_grid, dtype=np.complex128)
-    nc1, nc2 = coarse.n_grid
-    nf1, nf2 = fine.n_grid
-    for k1, k2 in coarse.mode_list:
-        out[k1 % nf1, k2 % nf2] = coef[k1 % nc1, k2 % nc2]
+    """Copy coarse-grid coefficients (..., band) into the fine grid's band."""
+    out = np.zeros(coef.shape[:-2] + fine.band_shape, dtype=np.complex128)
+    out[..., coarse.k1_int % fine.band_shape[0], :coarse.band_shape[1]] = coef
     return out
 
 
@@ -242,7 +239,7 @@ def _cmd_sweep(args) -> int:
         n_ref, g_ref, st_ref = results[-1]
         print(f"reference: n={n_ref}")
         for n, g, st in results[:-1]:
-            du = np.stack([_lift_modes(g, g_ref, st.u[i]) for i in range(2)]) - st_ref.u
+            du = _lift_modes(g, g_ref, st.u) - st_ref.u
             dphi = _lift_modes(g, g_ref, st.phi) - st_ref.phi
             diff_u = g_ref.norm_l2_spectral(du)
             diff_phi = g_ref.norm_l2_spectral(dphi)

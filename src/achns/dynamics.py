@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import AnisotropyModel, QUADRATIC_FORM, check_hypotheses, xi_cap
-from .basis import Jet, TorusGrid
+from .basis import Jet, TorusGrid, vdot
 from .errors import BlowUpError, DomainError, SolverError, StabilityError
 from .potential import PotentialSpec, f_eps_prime, validate_eps
 from .transport import (
@@ -171,25 +171,26 @@ def check_dt(problem: Problem, cfg: StepperConfig, h: float):
 # --- linear solves -----------------------------------------------------------
 
 def _norm(a) -> float:
-    return float(np.sqrt(np.vdot(a, a).real))
+    return float(np.sqrt(vdot(a, a)))
 
 
 def _start(apply_a, b, x0):
     """The A-optimal multiple beta x0 of a start, beta = Re(x0^H b) /
     (x0^H A x0), and its residual b - beta A x0, from one application of
     A. Its A-norm error is never above that of x = 0, which it takes when
-    x0^H A x0 is not positive and finite. beta is real, so a start that
-    is exactly Hermitian stays so."""
+    x0^H A x0 is not positive and finite. beta is real, so a start whose
+    column 0 is exactly conjugate-symmetric stays so."""
     ax = apply_a(x0)
-    curv = np.vdot(x0, ax).real
+    curv = vdot(x0, ax)
     if not 0.0 < curv < np.inf:
         return np.zeros_like(b), b.copy()
-    beta = np.vdot(x0, b).real / curv
+    beta = vdot(x0, b) / curv
     return beta * x0, b - beta * ax
 
 
 def _cg(apply_a, b, x0, rtol, label):
-    """Conjugate gradients on (possibly stacked) complex coefficients.
+    """Conjugate gradients on (possibly stacked) band coefficients, whose
+    inner products are those of the full plane (`basis.vdot`).
 
     x0 is a guess at the solution, such as the solution of a nearby
     system; the iteration starts from its A-optimal multiple (`_start`),
@@ -212,13 +213,13 @@ def _cg(apply_a, b, x0, rtol, label):
     b = b * inv
     bnorm = _norm(b)
     x, r = _start(apply_a, b, x0 * inv)
-    rs = np.vdot(r, r).real
+    rs = vdot(r, r)
     if np.sqrt(rs) <= rtol * bnorm:
         return x / inv
     p = r.copy()
     for _ in range(_MAX_CG_ITER):
         ap = apply_a(p)
-        den = np.vdot(p, ap).real
+        den = vdot(p, ap)
         if den <= 0.0:
             # the mass operators are positive definite on their range, so
             # zero curvature puts p in their null space: a part of b that
@@ -237,12 +238,12 @@ def _cg(apply_a, b, x0, rtol, label):
         alpha = rs / den
         x += alpha * p
         r -= alpha * ap
-        rs_new = np.vdot(r, r).real
+        rs_new = vdot(r, r)
         if np.sqrt(rs_new) <= rtol * bnorm:
             # the updated residual drifts from b - A x by rounding: x
             # stands only on the true one, else CG restarts from it
             r = b - apply_a(x)
-            rs = np.vdot(r, r).real
+            rs = vdot(r, r)
             if np.sqrt(rs) <= rtol * bnorm:
                 return x / inv
             p = r.copy()
@@ -311,7 +312,7 @@ def _assemble(problem, state, frozen, start):
     du = grid.to_grid(np.stack([grid.grad(u[0]), grid.grad(u[1])]))
 
     fpr = f_eps_prime(problem.spec, phig)
-    b_u = np.empty((2,) + grid.n_grid, dtype=complex)
+    b_u = np.empty((2,) + grid.band_shape, dtype=complex)
     for i in range(2):
         conv = rho_vals * (advg[0] * du[i, 0] + advg[1] * du[i, 1])
         # symmetric stress row: S_ij = d_j u_i + d_i u_j

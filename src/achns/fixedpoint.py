@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import TorusGrid
+from .basis import TorusGrid, vdot
 from .diagnostics import energy_report
 from .dynamics import (
     FlowState,
@@ -50,9 +50,9 @@ class FrozenPair:
 
     grid: TorusGrid
     dt: float
-    u: np.ndarray      # (n_samples, 2, N1, N2) complex
+    u: np.ndarray      # (n_samples, 2) + grid.band_shape complex
     du: np.ndarray
-    phi: np.ndarray    # (n_samples, N1, N2) complex
+    phi: np.ndarray    # (n_samples,) + grid.band_shape complex
     dphi: np.ndarray
 
     def __post_init__(self):
@@ -65,7 +65,8 @@ class FrozenPair:
             raise DimensionError("value and slope sample shapes disagree")
         if self.phi.shape[0] != n:
             raise DimensionError("velocity and order-parameter sample counts disagree")
-        if self.u.shape[1:] != (2,) + self.grid.n_grid or self.phi.shape[1:] != self.grid.n_grid:
+        band = self.grid.band_shape
+        if self.u.shape[1:] != (2,) + band or self.phi.shape[1:] != band:
             raise DimensionError("sample fields do not match the grid")
         g = self.grid
         for k in range(n):
@@ -188,7 +189,7 @@ def trajectory_distance(grid: TorusGrid, a: FrozenPair, b: FrozenPair) -> float:
     for k in range(a.n_samples):
         gap_u = grid.norm_l2_spectral(a.u[k] - b.u[k])
         dphi = a.phi[k] - b.phi[k]
-        gap_phi = float(np.sqrt(grid.area * np.sum(weight * np.abs(dphi) ** 2)))
+        gap_phi = float(np.sqrt(grid.area * vdot(dphi, weight * dphi)))
         worst = max(worst, gap_u + gap_phi)
     return worst
 

@@ -139,17 +139,21 @@ class BlobDensity:
 # --- spectral helpers for grid-valued profiles ------------------------------
 
 def _place_modes(grid: TorusGrid, mode_coefs) -> np.ndarray:
-    """Build a Hermitian-symmetric coefficient array from {(k1,k2): c}."""
-    n1, n2 = grid.n_grid
-    c = np.zeros((n1, n2), dtype=complex)
+    """Build the coefficient array of the real field with c_k = c and
+    c_-k = conj(c) for each (k1, k2): c of {(k1, k2): c}."""
+    c = np.zeros(grid.band_shape, dtype=complex)
+    rows = grid.band_shape[0]
     for (k1, k2), val in mode_coefs.items():
         if abs(k1) > grid.cutoff[0] or abs(k2) > grid.cutoff[1]:
             raise DomainError(f"mode ({k1},{k2}) outside the dealiased band for this grid")
         if (k1, k2) == (0, 0):
             c[0, 0] += val.real
             continue
-        c[k1 % n1, k2 % n2] += val
-        c[(-k1) % n1, (-k2) % n2] += np.conj(val)
+        if k2 < 0:
+            k1, k2, val = -k1, -k2, np.conj(val)
+        c[k1 % rows, k2] += val
+        if k2 == 0:
+            c[-k1 % rows, 0] += np.conj(val)
     return c
 
 

@@ -19,10 +19,13 @@ Layout (all little-endian):
             ...   u2 coefficients, n_modes_u complex128
             ...   phi coefficients, n_modes_phi complex128
 
-Coefficients are stored in the grid's canonical mode order (ascending
-squared wavenumber, lexicographic ties), so files written for the same
-grid are comparable mode by mode. ``write_snapshot`` stores the whole
-band; the reader takes any counts among the grid's
+Coefficients are stored in the grid's canonical mode order
+(``TorusGrid.mode_list``: ascending squared wavenumber, lexicographic
+ties), k and -k each with its own, so files written for the same grid
+are comparable mode by mode. v1 is unchanged by the package keeping
+only the half plane k2 >= 0 in memory: the writer and
+``embed_coefficients`` convert at this boundary. ``write_snapshot``
+stores the whole band; the reader takes any counts among the grid's
 ``valid_mode_counts``. A write -> read -> write cycle is byte-identical.
 """
 
@@ -58,7 +61,12 @@ class SnapshotData:
 
 
 def _gather(grid, coef, count):
-    return np.ascontiguousarray(coef.ravel()[grid.mode_order[:count]], dtype="<c16")
+    """The first count modes of mode_list; c_k of k2 < 0 is conj(c_-k), its
+    imaginary part negated as 0 - Im, so an exact zero is written +0."""
+    out = coef.ravel()[grid.mode_order[:count]].astype("<c16")
+    mirror = grid.mode_list[:count, 1] < 0
+    out.imag[mirror] = 0.0 - out.imag[mirror]
+    return out
 
 
 def write_snapshot(target, grid: TorusGrid, state):
@@ -121,7 +129,8 @@ def read_snapshot(source) -> SnapshotData:
 
 
 def embed_coefficients(grid: TorusGrid, coef):
-    """Scatter canonical-order coefficients back to a full spectral array."""
+    """Scatter canonical-order coefficients into the grid's band; those
+    of k2 < 0 are the conjugates of modes it holds."""
     coef = np.asarray(coef, dtype=np.complex128)
     n = coef.shape[-1]
     if n > grid.n_band_modes:
@@ -129,9 +138,10 @@ def embed_coefficients(grid: TorusGrid, coef):
             f"snapshot holds {n} modes but the grid retains only {grid.n_band_modes}"
         )
     grid.check_mode_count(n)
-    full = np.zeros(grid.n_grid, dtype=np.complex128)
-    full.ravel()[grid.mode_order[:n]] = coef
-    return full
+    held = grid.mode_list[:n, 1] >= 0
+    out = np.zeros(grid.band_shape, dtype=np.complex128)
+    out.ravel()[grid.mode_order[:n][held]] = coef[held]
+    return out
 
 
 def restore_fields(snap: SnapshotData, grid: TorusGrid):

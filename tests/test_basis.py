@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from achns.basis import Jet, TorusGrid
+from achns.basis import Jet, TorusGrid, vdot
 from achns.errors import DimensionError, DomainError
 
 
@@ -9,22 +9,54 @@ def make_grid(n=32, L=2 * np.pi):
     return TorusGrid((L, L), (n, n))
 
 
-def mirror(grid, coef):
-    """c_-k at k, for every field of a stack (..., N1, N2)."""
-    return coef[..., (-grid.k1_int)[:, None], (-grid.k2_int)[None, :]]
+def fft_int(n):
+    return np.rint(np.fft.fftfreq(n) * n).astype(int)
 
 
-def hermitian_part(grid, coef):
-    """(c_k + conj c_-k) / 2: the coefficients of the real part of the
-    field of c, exactly Hermitian."""
-    return (coef + np.conj(mirror(grid, coef))) / 2
+def full_mask(grid):
+    """The retained band in the full (N1, N2) FFT plane."""
+    kc1, kc2 = grid.cutoff
+    return ((np.abs(fft_int(grid.n_grid[0])) <= kc1)[:, None]
+            & (np.abs(fft_int(grid.n_grid[1])) <= kc2)[None, :])
 
 
-def random_band_field(grid, rng, scale=1.0):
-    """Real grid field whose spectrum lies inside the retained band."""
-    coef = rng.standard_normal(grid.n_grid) + 1j * rng.standard_normal(grid.n_grid)
-    coef *= grid.dealias_mask
-    return grid.to_grid(hermitian_part(grid, coef)) * scale
+def mirror(coef):
+    """c_-k at k, for every field of a full-plane stack (..., N1, N2)."""
+    n1, n2 = coef.shape[-2:]
+    return coef[..., (-fft_int(n1))[:, None], (-fft_int(n2))[None, :]]
+
+
+def hermitian_part(coef):
+    """(c_k + conj c_-k) / 2: the full-plane coefficients of the real part
+    of the field of c, exactly Hermitian."""
+    return (coef + np.conj(mirror(coef))) / 2
+
+
+def full_plane_field(coef):
+    """Grid values of the full-plane coefficients coef, by numpy's FFT."""
+    return np.fft.ifft2(coef * (coef.shape[-2] * coef.shape[-1])).real
+
+
+def band_of(grid, full):
+    """The band's half plane (..., 2K1+1, K2+1) of full-plane coefficients."""
+    kc1, kc2 = grid.cutoff
+    rows = np.r_[0:kc1 + 1, grid.n_grid[0] - kc1:grid.n_grid[0]]
+    return full[..., rows, :kc2 + 1]
+
+
+def at(grid, coef, k1, k2):
+    """c_k of band coefficients for any k of the band."""
+    rows = grid.band_shape[0]
+    return coef[k1 % rows, k2] if k2 >= 0 else np.conj(coef[-k1 % rows, -k2])
+
+
+def random_band_field(grid, rng, lead=()):
+    """Real grid field, or a stack of them, whose spectrum lies inside the
+    retained band."""
+    shape = lead + grid.n_grid
+    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coef *= full_mask(grid)
+    return full_plane_field(hermitian_part(coef))
 
 
 def test_grid_validation():
@@ -68,7 +100,7 @@ def test_parseval():
     f = random_band_field(grid, rng)
     coef = grid.to_spectral(f)
     grid_sq = grid.quadrature(f * f)
-    spec_sq = grid.area * np.sum(np.abs(coef) ** 2)
+    spec_sq = grid.area * vdot(coef, coef)
     assert abs(grid_sq - spec_sq) <= 1e-10 * abs(grid_sq)
     assert abs(grid.norm_l2(f) - grid.norm_l2_spectral(coef)) <= 1e-10 * grid.norm_l2(f)
 
@@ -115,8 +147,8 @@ def test_dealiased_product_matches_convolution():
     cg = grid.to_spectral(g)
     prod = grid.to_spectral(f * g)
 
-    def at(c, i, j):
-        return c[i % n, j % n]
+    def at_(c, i, j):
+        return at(grid, c, i, j)
 
     for i in range(-kc, kc + 1):
         for j in range(-kc, kc + 1):
@@ -125,8 +157,8 @@ def test_dealiased_product_matches_convolution():
                 for b in range(-kc, kc + 1):
                     ia, jb = i - a, j - b
                     if abs(ia) <= kc and abs(jb) <= kc:
-                        acc += at(cf, a, b) * at(cg, ia, jb)
-            assert abs(at(prod, i, j) - acc) < 1e-12
+                        acc += at_(cf, a, b) * at_(cg, ia, jb)
+            assert abs(at_(prod, i, j) - acc) < 1e-12
 
 
 def test_leray_kills_gradients():
@@ -158,7 +190,7 @@ def test_leray_idempotent_and_preserves_divfree():
 def test_leray_closed_form_modes():
     grid = make_grid(16)
     kappa = 3
-    v = np.zeros((2,) + grid.n_grid, dtype=complex)
+    v = np.zeros((2,) + grid.band_shape, dtype=complex)
     # unit x-coefficient at k = (kappa, 0): purely compressive
     v[0, kappa, 0] = 1.0
     out = grid.leray_project(v)
@@ -209,7 +241,7 @@ def test_project_scalar_identity_and_truncation():
     kept = np.abs(trunc.ravel()) > 0
     ksq = grid.k_sq.ravel()
     kept_max = np.max(ksq[kept])
-    dropped = grid.dealias_mask.ravel() & ~kept
+    dropped = ~kept
     assert kept_max <= np.min(ksq[dropped]) + 1e-12
     # a stack (2, N1, N2) is truncated field by field
     pair = np.stack([coef, grid.to_spectral(random_band_field(grid, rng))])
@@ -229,25 +261,22 @@ def test_to_spectral_matches_the_complex_transform(lengths, n_grid, lead):
     rng = np.random.default_rng(n_grid[0] + len(lead))
     grid = TorusGrid(lengths, n_grid)
     vals = rng.standard_normal(lead + n_grid)
-    want = np.fft.fft2(vals) / (n_grid[0] * n_grid[1]) * grid.dealias_mask
+    want = band_of(grid, np.fft.fft2(vals) / (n_grid[0] * n_grid[1]))
     got = grid.to_spectral(vals)
-    assert got.shape == want.shape
+    assert got.shape == lead + grid.band_shape == want.shape
     assert _relative_gap(got, want) <= 1e-15
-    assert np.all(got[..., ~grid.dealias_mask] == 0)
 
 
-@pytest.mark.parametrize("band", [False, True])
 @pytest.mark.parametrize("lead", [(), (2,), (4,)])
 @pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
-def test_to_grid_matches_the_complex_transform_for_real_fields(lengths, n_grid, lead, band):
-    # exactly Hermitian coefficients, inside the band or over the whole
-    # plane with its Nyquist row and column
+def test_to_grid_matches_the_complex_transform_for_real_fields(lengths, n_grid, lead):
+    # exactly Hermitian full-plane coefficients inside the band
     rng = np.random.default_rng(n_grid[1] + len(lead))
     grid = TorusGrid(lengths, n_grid)
     coef = rng.standard_normal(lead + n_grid) + 1j * rng.standard_normal(lead + n_grid)
-    coef = hermitian_part(grid, coef * grid.dealias_mask if band else coef)
-    want = np.fft.ifft2(coef * (n_grid[0] * n_grid[1])).real
-    got = grid.to_grid(coef)
+    coef = hermitian_part(coef * full_mask(grid))
+    want = full_plane_field(coef)
+    got = grid.to_grid(band_of(grid, coef))
     assert got.shape == want.shape
     assert _relative_gap(got, want) <= 1e-15
 
@@ -285,8 +314,36 @@ def test_to_spectral_is_exactly_hermitian(lengths, n_grid):
     rng = np.random.default_rng(6)
     grid = TorusGrid(lengths, n_grid)
     coef = grid.to_spectral(rng.standard_normal((2,) + n_grid))
-    np.testing.assert_array_equal(coef, np.conj(mirror(grid, coef)))
+    # column 0 holds k1 and -k1: conjugate bit for bit, sign of zero too,
+    # and the zero mode is real
+    col = coef[..., 1:, 0]
+    mirrored = np.conj(coef[..., -grid.k1_int[1:] % grid.band_shape[0], 0])
+    assert col.tobytes() == mirrored.tobytes()
     assert np.all(coef[..., 0, 0].imag == 0)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
+def test_vdot_of_band_halves_is_that_of_the_full_plane(lengths, n_grid, lead):
+    # a column k2 > 0 of the band stands for itself and its mirror
+    rng = np.random.default_rng(n_grid[0] + len(lead))
+    grid = TorusGrid(lengths, n_grid)
+    a, b = (hermitian_part((rng.standard_normal(lead + n_grid)
+                            + 1j * rng.standard_normal(lead + n_grid)) * full_mask(grid))
+            for _ in range(2))
+    for x, y in ((a, a), (a, b), (b, a)):
+        want = np.vdot(x, y).real
+        scale = np.sqrt(np.vdot(x, x).real * np.vdot(y, y).real)
+        assert abs(vdot(band_of(grid, x), band_of(grid, y)) - want) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
+def test_to_spectral_returns_the_band_field_to_grid_made(lengths, n_grid):
+    rng = np.random.default_rng(8)
+    grid = TorusGrid(lengths, n_grid)
+    coef = grid.to_spectral(random_band_field(grid, rng, (2,)))
+    assert coef.shape == (2,) + grid.band_shape
+    assert _relative_gap(grid.to_spectral(grid.to_grid(coef)), coef) <= 1e-15
 
 
 def test_quadrature_exact_for_band_fields():
@@ -308,13 +365,10 @@ def test_eval_at_matches_grid_and_is_periodic():
     # random off-grid points: compare against direct mode summation
     pts2 = rng.uniform(-10, 10, size=(40, 2))
     direct = np.zeros(40, dtype=complex)
-    idx1 = grid.k1_int
-    for a in range(grid.n_grid[0]):
-        for b in range(grid.n_grid[1]):
-            if grid.dealias_mask[a, b] and coef[a, b] != 0:
-                kx = grid.k1[a, 0]
-                ky = grid.k2[0, b]
-                direct += coef[a, b] * np.exp(1j * (kx * pts2[:, 0] + ky * pts2[:, 1]))
+    for a, b in grid.mode_list:
+        kx = 2 * np.pi / grid.lengths[0] * a
+        ky = 2 * np.pi / grid.lengths[1] * b
+        direct += at(grid, coef, a, b) * np.exp(1j * (kx * pts2[:, 0] + ky * pts2[:, 1]))
     assert np.max(np.abs(grid.eval_at(coef, pts2) - direct.real)) < 1e-10
     # periodicity: shifting by a full box changes nothing
     shifted = pts2 + np.array([grid.lengths[0], -3 * grid.lengths[1]])
@@ -415,8 +469,8 @@ def test_shape_mismatch_raises():
     with pytest.raises(DimensionError):
         grid.to_spectral(np.zeros((8, 8)))
     with pytest.raises(DimensionError):
-        grid.eval_at(np.zeros(grid.n_grid, dtype=complex), np.zeros((4, 3)))
+        grid.eval_at(np.zeros(grid.band_shape, dtype=complex), np.zeros((4, 3)))
     with pytest.raises(DimensionError):
         grid.eval_at(np.zeros((8, 8), dtype=complex), np.zeros((4, 2)))
     with pytest.raises(DimensionError):
-        grid.eval_at(Jet(make_grid(16, L=1.0), np.zeros(grid.n_grid)), np.zeros((4, 2)))
+        grid.eval_at(Jet(make_grid(16, L=1.0), np.zeros(grid.band_shape)), np.zeros((4, 2)))

@@ -1,9 +1,11 @@
+import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
 
-from achns.config import parse_config
+from achns.config import load_config, parse_config
 from achns.dynamics import run
 from achns.errors import DomainError
 from achns.snapshot import (
@@ -81,6 +83,49 @@ def test_round_trip_bit_exact(small_run):
     assert raw2 == raw1
 
 
+DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "configs", "demo.cfg")
+
+
+def test_demo_initial_state_bytes_are_pinned():
+    # the v1 bytes of the demo's initial state, as written when every
+    # coefficient array held the full (N1, N2) plane: the band gather and
+    # the Leray projection leave these values bitwise unchanged
+    cfg = load_config(DEMO)
+    grid = cfg.grid()
+    state = cfg.problem().initial_state(*cfg.initial_fields(grid))
+    digest = hashlib.sha256(_dump(grid, state)).hexdigest()
+    assert digest == "b2b80508fa561401ceed458246ce1670cc34c765cd8aa1e348d83dccfddeedc3"
+
+
+@pytest.mark.parametrize("domain", ["n1 = 16\nn2 = 32\nl2 = 12.566370614359172\n",
+                                    "n1 = 32\nn2 = 32\n"])
+@pytest.mark.parametrize("truncate", [False, True])
+def test_restore_fields_round_trip(domain, truncate):
+    # a state written, read and restored is the state; written again, the
+    # same bytes. Truncated fields come back as their own projection
+    cfg = parse_config(f"[domain]\n{domain}[time]\ndt = 0.002\nt_end = 0.004\n")
+    grid = cfg.grid()
+    n_modes = sorted(grid.valid_mode_counts)[4] if truncate else None
+    state = run(cfg.problem(), *cfg.initial_fields(grid), cfg.stepper()).final_state
+    u, phi = (grid.project_scalar(c, n_modes) for c in (state.u, state.phi))
+    raw = _partial(grid, _dump(grid, state), n_modes or grid.n_band_modes,
+                   n_modes or grid.n_band_modes)
+    ru, rphi, rho = restore_fields(read_snapshot(io.BytesIO(raw)), grid)
+    assert ru.shape == (2,) + grid.band_shape and rphi.shape == grid.band_shape
+    assert np.array_equal(ru, u) and np.array_equal(rphi, phi)
+    assert np.array_equal(rho.values, state.rho.values)
+
+    class Shell:
+        pass
+
+    again = Shell()
+    again.t, again.u, again.phi, again.rho = state.t, ru, rphi, rho
+    full = _dump(grid, again)
+    assert _partial(grid, full, n_modes or grid.n_band_modes,
+                    n_modes or grid.n_band_modes) == raw
+
+
 def test_path_io(small_run, tmp_path):
     _, grid, state = small_run
     path = tmp_path / "state.bin"
@@ -126,8 +171,11 @@ def test_partial_mode_counts(small_run):
     snap = read_snapshot(io.BytesIO(raw))
     assert snap.u_coef.shape == (2, 9)
     assert snap.phi_coef.shape == (5,)
-    # retained modes are the energetically leading ones, in canonical order
-    full = state.phi.ravel()[grid.mode_order[:5]]
+    # retained modes are the energetically leading ones, in canonical
+    # order; a mode with k2 < 0 is the conjugate of the entry of -k
+    rows = grid.band_shape[0]
+    full = [state.phi[k1 % rows, k2] if k2 >= 0 else np.conj(state.phi[-k1 % rows, -k2])
+            for k1, k2 in grid.mode_list[:5]]
     assert np.array_equal(snap.phi_coef, full)
 
 
