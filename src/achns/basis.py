@@ -64,17 +64,10 @@ class TorusGrid:
         return self.area / (self.n_grid[0] * self.n_grid[1])
 
     @cached_property
-    def x1(self):
-        return np.arange(self.n_grid[0]) * (self.lengths[0] / self.n_grid[0])
-
-    @cached_property
-    def x2(self):
-        return np.arange(self.n_grid[1]) * (self.lengths[1] / self.n_grid[1])
-
-    @cached_property
     def mesh(self):
-        """Pair of (N1, N2) coordinate arrays."""
-        return np.meshgrid(self.x1, self.x2, indexing="ij")
+        """Pair of (N1, N2) coordinate arrays, x_i = i L_i / N_i."""
+        return np.meshgrid(*(np.arange(n) * (ell / n) for ell, n in zip(self.lengths, self.n_grid)),
+                           indexing="ij")
 
     # --- wavenumbers ----------------------------------------------------
 
@@ -111,8 +104,7 @@ class TorusGrid:
     @property
     def n_band_modes(self):
         """Modes of the whole band, k and -k counted apart."""
-        kc1, kc2 = self.cutoff
-        return (2 * kc1 + 1) * (2 * kc2 + 1)
+        return len(self.mode_list)
 
     @cached_property
     def mode_list(self):
@@ -154,11 +146,20 @@ class TorusGrid:
         out[..., kc1 + 1:, 0] = np.conj(out[..., kc1:0:-1, 0])
         return out
 
+    @cached_property
+    def _pads(self):
+        return {}
+
     def _pad(self, coef, n_cols):
         """Band coefficients (..., 2K1+1, K2+1) as the columns 0..n_cols-1
-        of the full spectrum (..., N1, n_cols), zero outside the band."""
+        of the full spectrum (..., N1, n_cols), zero outside the band. Every
+        call of a shape returns the same buffer, as a fresh one doubled the
+        time of a 128^2 stack's inverse transform: read it, keep none."""
         n1, kc1 = self.n_grid[0], self.cutoff[0]
-        out = np.zeros(coef.shape[:-2] + (n1, n_cols), dtype=complex)
+        shape = coef.shape[:-2] + (n1, n_cols)
+        out = self._pads.get(shape)
+        if out is None:
+            out = self._pads[shape] = np.zeros(shape, dtype=complex)
         out[..., :kc1 + 1, :coef.shape[-1]] = coef[..., :kc1 + 1, :]
         out[..., n1 - kc1:, :coef.shape[-1]] = coef[..., kc1 + 1:, :]
         return out
@@ -240,10 +241,6 @@ class TorusGrid:
     def quadrature(self, values):
         """Integral over the box of a grid field (collocation quadrature)."""
         return self.cell * float(np.sum(values))
-
-    def norm_l2(self, values):
-        """Grid L2 norm, sqrt(integral of |f|^2); accepts vector stacks."""
-        return float(np.sqrt(self.cell * np.sum(np.asarray(values) ** 2)))
 
     def norm_l2_spectral(self, coef):
         """L2 norm from coefficients by the Parseval identity."""

@@ -102,7 +102,7 @@ def test_parseval():
     grid_sq = grid.quadrature(f * f)
     spec_sq = grid.area * vdot(coef, coef)
     assert abs(grid_sq - spec_sq) <= 1e-10 * abs(grid_sq)
-    assert abs(grid.norm_l2(f) - grid.norm_l2_spectral(coef)) <= 1e-10 * grid.norm_l2(f)
+    assert abs(np.sqrt(grid_sq) - grid.norm_l2_spectral(coef)) <= 1e-10 * np.sqrt(grid_sq)
 
 
 def test_differentiation_exact():

@@ -122,7 +122,7 @@ def test_residual_collocation_oracle():
     st = pb.initial_state(u0, phi0)
     got = residual_r_eps(g, st, np.zeros_like(st.u), pb.spec)
     expected = 0.0
-    for x in g.x1:
+    for x in g.mesh[0][:, 0]:
         expected += f_eps(pb.spec, 0.3 * math.sin(x)) * a * 0.5 * math.cos(x)
     expected *= g.cell * g.n_grid[1]
     assert got == pytest.approx(expected, rel=1e-12)
