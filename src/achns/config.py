@@ -6,6 +6,10 @@ packaged demo run, so an empty file is a valid configuration. Unknown
 sections or keys, duplicate keys, malformed values and physically
 inadmissible combinations are all rejected with the offending line
 number.
+
+`_SCHEMA` holds every key's parser and default. `_PROFILES` is the one
+place where an initial-data profile is defined: the keys it reads and
+what it builds. `_read_profile` reads every profile section against it.
 """
 
 from dataclasses import dataclass
@@ -105,19 +109,38 @@ _SCHEMA = {
                "snapshots": (_pstr, "final")},
 }
 
-_PROFILE_KEYS = {
-    ("density", "constant"): {"profile", "value", "mollify_width"},
-    ("density", "sinusoidal"): {"profile", "base", "amplitude", "k1", "k2", "mollify_width"},
-    ("density", "blob"): {"profile", "base", "amplitude", "width", "center1",
-                          "center2", "mollify_width"},
-    ("initial_phi", "constant"): {"profile", "value"},
-    ("initial_phi", "modes"): {"profile", "modes"},
-    ("initial_phi", "band_random"): {"profile", "seed", "kmax", "amplitude",
-                                     "mean", "extra_modes"},
-    ("initial_u", "zero"): {"profile"},
-    ("initial_u", "taylor_green"): {"profile", "amplitude"},
-    ("initial_u", "random_solenoidal"): {"profile", "seed", "kmax", "amplitude"},
+
+def _phi_band_random(grid, seed, kmax, amplitude, mean, extra_modes):
+    phi0 = phi_band_random(grid, seed, kmax, amplitude, mean)
+    # seed modes are optional perturbations: drop the ones the grid cannot
+    # represent so one config serves every resolution
+    kx, ky = grid.cutoff
+    fits = [m for m in extra_modes if abs(m[0]) <= kx and abs(m[1]) <= ky]
+    return phi0 + phi_modes(grid, fits) if fits else phi0
+
+
+# every initial-data profile: the keys it reads, in order, and its builder,
+# called with the grid (the box lengths for density) and those keys' values
+_PROFILES = {
+    ("density", "constant"): (("value",), lambda lengths, value: ConstantDensity(value)),
+    ("density", "sinusoidal"): (("base", "amplitude", "k1", "k2"),
+                                lambda lengths, b, a, k1, k2: SinusoidalDensity(b, a, lengths, k1, k2)),
+    ("density", "blob"): (("base", "amplitude", "width", "center1", "center2"),
+                          lambda lengths, b, a, w, c1, c2: BlobDensity(b, a, w, (c1, c2), lengths)),
+    ("initial_phi", "constant"): (("value",), phi_constant),
+    ("initial_phi", "modes"): (("modes",), phi_modes),
+    ("initial_phi", "band_random"): (("seed", "kmax", "amplitude", "mean", "extra_modes"),
+                                     _phi_band_random),
+    ("initial_u", "zero"): ((), u_zero),
+    ("initial_u", "taylor_green"): (("amplitude",), u_taylor_green),
+    ("initial_u", "random_solenoidal"): (("seed", "kmax", "amplitude"), u_random_solenoidal),
 }
+
+
+def _build(section, values, at):
+    """Build a profile from the values `_read_profile` returned."""
+    keys, build = _PROFILES[(section, values["profile"])]
+    return build(at, *(values[k] for k in keys))
 
 
 @dataclass(frozen=True)
@@ -156,29 +179,8 @@ class RunConfig:
                              allow_unstable_dt=self.allow_unstable_dt)
 
     def initial_fields(self, grid: TorusGrid):
-        p = self.phi_init
-        if p["profile"] == "constant":
-            phi0 = phi_constant(grid, p["value"])
-        elif p["profile"] == "modes":
-            phi0 = phi_modes(grid, p["modes"])
-        else:
-            phi0 = phi_band_random(grid, p["seed"], p["kmax"], p["amplitude"], p["mean"])
-            if p.get("extra_modes"):
-                # seed modes are optional perturbations: drop the ones the
-                # grid cannot represent so one config serves every resolution
-                kx, ky = grid.cutoff
-                fits = [m for m in p["extra_modes"]
-                        if abs(m[0]) <= kx and abs(m[1]) <= ky]
-                if fits:
-                    phi0 = phi0 + phi_modes(grid, fits)
-        q = self.u_init
-        if q["profile"] == "zero":
-            u0 = u_zero(grid)
-        elif q["profile"] == "taylor_green":
-            u0 = u_taylor_green(grid, q["amplitude"])
-        else:
-            u0 = u_random_solenoidal(grid, q["seed"], q["kmax"], q["amplitude"])
-        return u0, phi0
+        phi0 = _build("initial_phi", self.phi_init, grid)
+        return _build("initial_u", self.u_init, grid), phi0
 
 
 def _scan(text):
@@ -242,96 +244,39 @@ class _View:
         return min(lines) if lines else fallback
 
 
-def _check_profile_keys(view, section, profile, line):
-    allowed_profiles = sorted(p for (s, p) in _PROFILE_KEYS if s == section)
-    if (section, profile) not in _PROFILE_KEYS:
-        raise ConfigError(
-            f"unknown {section} profile {profile!r} (choices: {', '.join(allowed_profiles)})",
-            line,
-        )
-    allowed = _PROFILE_KEYS[(section, profile)]
-    for key in sorted(view.explicit_keys(section)):
-        if key not in allowed:
-            raise ConfigError(
-                f"key {key!r} does not apply to {section} profile {profile!r}",
-                view.line(section, key),
-            )
-
-
-def _require(view, section, key, profile):
-    if not view.has(section, key) and _SCHEMA[section][key][1] is None:
-        raise ConfigError(
-            f"{section} profile {profile!r} needs key {key!r}",
-            view.section_line(section, 0),
-        )
-    return view.get(section, key)
+def _read_profile(view, section):
+    """{"profile": name, key: value, ...} of a profile section: every key
+    the profile reads, and no explicit key it does not read."""
+    profile = view.get(section, "profile")
+    first = view.section_line(section, 0)
+    if (section, profile) not in _PROFILES:
+        choices = ", ".join(sorted(p for (s, p) in _PROFILES if s == section))
+        raise ConfigError(f"unknown {section} profile {profile!r} (choices: {choices})",
+                          view.line(section, "profile", first))
+    keys = _PROFILES[(section, profile)][0]
+    # only [density] has mollify_width, which applies to every profile
+    stray = sorted(view.explicit_keys(section) - {"profile", "mollify_width", *keys})
+    if stray:
+        raise ConfigError(f"key {stray[0]!r} does not apply to {section} profile {profile!r}",
+                          view.line(section, stray[0]))
+    values = {"profile": profile}
+    for key in keys:
+        if not view.has(section, key) and _SCHEMA[section][key][1] is None:
+            raise ConfigError(f"{section} profile {profile!r} needs key {key!r}", first)
+        values[key] = view.get(section, key)
+    return values
 
 
 def _build_density(view, lengths):
-    profile = view.get("density", "profile")
-    line = view.line("density", "profile", view.section_line("density", 0))
-    _check_profile_keys(view, "density", profile, line)
+    values, first = _read_profile(view, "density"), view.section_line("density", 0)
     try:
-        if profile == "constant":
-            raw = ConstantDensity(_require(view, "density", "value", profile))
-        elif profile == "sinusoidal":
-            raw = SinusoidalDensity(
-                view.get("density", "base"), view.get("density", "amplitude"),
-                lengths, view.get("density", "k1"), view.get("density", "k2"),
-            )
-        else:
-            raw = BlobDensity(
-                _require(view, "density", "base", profile),
-                _require(view, "density", "amplitude", profile),
-                _require(view, "density", "width", profile),
-                (_require(view, "density", "center1", profile),
-                 _require(view, "density", "center2", profile)),
-                lengths,
-            )
-        width = view.get("density", "mollify_width")
-        rho0 = mollify_initial_density(raw, width)
+        rho0 = mollify_initial_density(_build("density", values, lengths),
+                                       view.get("density", "mollify_width"))
     except DomainError as exc:
-        raise ConfigError(str(exc), view.section_line("density", 0)) from exc
+        raise ConfigError(str(exc), first) from exc
     if not rho0.bounds[0] > 0:
-        raise ConfigError(
-            f"density lower bound {rho0.bounds[0]:.6g} is not positive",
-            view.section_line("density", 0),
-        )
+        raise ConfigError(f"density lower bound {rho0.bounds[0]:.6g} is not positive", first)
     return rho0
-
-
-def _build_phi_init(view):
-    profile = view.get("initial_phi", "profile")
-    line = view.line("initial_phi", "profile", view.section_line("initial_phi", 0))
-    _check_profile_keys(view, "initial_phi", profile, line)
-    if profile == "constant":
-        return {"profile": profile, "value": _require(view, "initial_phi", "value", profile)}
-    if profile == "modes":
-        return {"profile": profile, "modes": _require(view, "initial_phi", "modes", profile)}
-    return {
-        "profile": profile,
-        "seed": view.get("initial_phi", "seed"),
-        "kmax": view.get("initial_phi", "kmax"),
-        "amplitude": view.get("initial_phi", "amplitude"),
-        "mean": view.get("initial_phi", "mean"),
-        "extra_modes": view.get("initial_phi", "extra_modes"),
-    }
-
-
-def _build_u_init(view):
-    profile = view.get("initial_u", "profile")
-    line = view.line("initial_u", "profile", view.section_line("initial_u", 0))
-    _check_profile_keys(view, "initial_u", profile, line)
-    if profile == "zero":
-        return {"profile": profile}
-    if profile == "taylor_green":
-        return {"profile": profile, "amplitude": view.get("initial_u", "amplitude")}
-    return {
-        "profile": profile,
-        "seed": _require(view, "initial_u", "seed", profile),
-        "kmax": _require(view, "initial_u", "kmax", profile),
-        "amplitude": view.get("initial_u", "amplitude"),
-    }
 
 
 def parse_config(text: str) -> RunConfig:
@@ -390,8 +335,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc), view.section_line("material", 0)) from exc
 
     rho0 = _build_density(view, lengths)
-    phi_init = _build_phi_init(view)
-    u_init = _build_u_init(view)
+    phi_init = _read_profile(view, "initial_phi")
+    u_init = _read_profile(view, "initial_u")
 
     try:
         stepper = StepperConfig(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from achns.config import load_config, parse_config
+from achns import profiles
+from achns.config import _PROFILES, _SCHEMA, load_config, parse_config
 from achns.errors import ConfigError, DomainError
 
 DEMO_TEXT = """\
@@ -357,3 +358,82 @@ def test_beta_config_parses_but_cannot_simulate():
     assert cfg.model.matrix.shape == (3, 3)
     with pytest.raises(DomainError, match="2d"):
         cfg.problem()
+
+
+# --- every profile, table-driven ---------------------------------------------
+
+_LENGTHS = (2 * np.pi, 2 * np.pi)
+
+# (section, profile, entries in file order with `profile` last, the keys
+# without a default, a key of another profile of the same section (None:
+# random_solenoidal's keys cover every other initial_u profile's), and
+# the profiles call that must build the same field)
+_PROFILE_CASES = [
+    ("density", "constant", [("value", "1.3")], ["value"], "base",
+     lambda grid: profiles.ConstantDensity(1.3)),
+    ("density", "sinusoidal", [("base", "1.4"), ("amplitude", "0.3"), ("k1", "2"), ("k2", "1")],
+     [], "value",
+     lambda grid: profiles.SinusoidalDensity(1.4, 0.3, _LENGTHS, 2, 1)),
+    ("density", "blob", [("base", "1.0"), ("amplitude", "0.5"), ("width", "0.7"),
+                         ("center1", "3.0"), ("center2", "2.5")],
+     ["width", "center1", "center2"], "k1",
+     lambda grid: profiles.BlobDensity(1.0, 0.5, 0.7, (3.0, 2.5), _LENGTHS)),
+    ("initial_phi", "constant", [("value", "0.25")], ["value"], "seed",
+     lambda grid: profiles.phi_constant(grid, 0.25)),
+    ("initial_phi", "modes", [("modes", "1,0,0.1,0; 2,1,0.05,-0.02")], ["modes"], "value",
+     lambda grid: profiles.phi_modes(grid, [(1, 0, 0.1, 0.0), (2, 1, 0.05, -0.02)])),
+    # (40, 0) lies outside the 16^2 band, so the builder drops it
+    ("initial_phi", "band_random", [("seed", "5"), ("kmax", "3"), ("amplitude", "0.4"),
+                                    ("mean", "0.1"), ("extra_modes", "3,1,0.01,0; 40,0,1,0")],
+     [], "modes",
+     lambda grid: (profiles.phi_band_random(grid, 5, 3, 0.4, 0.1)
+                   + profiles.phi_modes(grid, [(3, 1, 0.01, 0.0)]))),
+    ("initial_u", "zero", [], [], "amplitude",
+     lambda grid: profiles.u_zero(grid)),
+    ("initial_u", "taylor_green", [("amplitude", "0.2")], [], "seed",
+     lambda grid: profiles.u_taylor_green(grid, 0.2)),
+    ("initial_u", "random_solenoidal", [("seed", "3"), ("kmax", "2"), ("amplitude", "0.2")],
+     ["seed", "kmax"], None,
+     lambda grid: profiles.u_random_solenoidal(grid, 3, 2, 0.2)),
+]
+
+_FIRST_LINE = 5  # the section's first key, after [domain], n1, n2 and its header
+
+
+def _profile_text(section, entries):
+    return ("[domain]\nn1 = 16\nn2 = 16\n" + f"[{section}]\n"
+            + "".join(f"{key} = {value}\n" for key, value in entries))
+
+
+@pytest.mark.parametrize("section, profile, entries, required, foreign, direct",
+                         _PROFILE_CASES, ids=[f"{s}-{p}" for s, p, *_ in _PROFILE_CASES])
+def test_every_profile(section, profile, entries, required, foreign, direct):
+    full = entries + [("profile", profile)]
+    for key in required:
+        err = _err(_profile_text(section, [e for e in full if e[0] != key]))
+        assert err.line == _FIRST_LINE
+        assert f"{section} profile {profile!r} needs key {key!r}" in str(err)
+    if foreign is not None:
+        err = _err(_profile_text(section, full + [(foreign, "1")]))
+        assert err.line == _FIRST_LINE + len(full)
+        assert f"key {foreign!r} does not apply to {section} profile {profile!r}" in str(err)
+
+    cfg = parse_config(_profile_text(section, full))
+    grid = cfg.grid()
+    expected = direct(grid)
+    if section == "density":
+        assert cfg.rho0 == expected
+        pts = np.stack(grid.mesh, axis=-1)
+        assert np.array_equal(cfg.rho0(pts), expected(pts))
+    else:
+        u0, phi0 = cfg.initial_fields(grid)
+        assert np.array_equal(u0 if section == "initial_u" else phi0, expected)
+
+
+def test_profile_table_matches_schema():
+    assert set(_PROFILES) == {(s, p) for s, p, *_ in _PROFILE_CASES}
+    for (section, _), (keys, _) in _PROFILES.items():
+        assert set(keys) <= set(_SCHEMA[section])
+    for section in ("density", "initial_phi", "initial_u"):
+        read = {k for (s, _), (keys, _) in _PROFILES.items() if s == section for k in keys}
+        assert set(_SCHEMA[section]) - {"profile", "mollify_width"} <= read
