@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anisotropy import AnisotropyModel, QUADRATIC_FORM, check_hypotheses, xi_cap
+from .anisotropy import AnisotropyModel, QUADRATIC_FORM, check_hypotheses
 from .basis import Jet, TorusGrid, vdot
 from .errors import BlowUpError, DomainError, SolverError, StabilityError
 from .potential import PotentialSpec, f_eps_prime, validate_eps
@@ -269,16 +269,14 @@ def _vector_mass_apply(grid, rho_vals, n_modes):
 def solve_mu(problem: Problem, phi, rho: DensityField, *, x0=None) -> np.ndarray:
     """Chemical potential from the density-weighted Galerkin identity:
     (rho mu, w) = (aniso-flux(grad phi), grad w) + (rho F_eps'(phi), w)
-    for every test mode w of the problem's phi space. x0, a potential
-    of a nearby state, starts the mass solve."""
-    grid, n_modes = problem.grid, problem.n_modes_phi
+    for every test mode w of the problem's phi space. The flux is M grad
+    phi (the problem's quadratic form), so its term is phi's coefficients
+    times k^T M k. x0, a potential of a nearby state, starts the mass
+    solve."""
+    grid, n_modes, m = problem.grid, problem.n_modes_phi, problem.model.matrix
     rho_vals = rho.values
-    phig = grid.to_grid(phi)
-    gphi = grid.grad(phi)
-    gphi_vals = grid.to_grid(gphi)
-    xi = xi_cap(problem.model, np.moveaxis(gphi_vals, 0, -1))
-    flux = grid.to_spectral(np.moveaxis(xi, -1, 0))
-    b = -grid.div(flux) + grid.to_spectral(rho_vals * f_eps_prime(problem.spec, phig))
+    kmk = m[0, 0] * grid.k1**2 + 2 * m[0, 1] * grid.k1 * grid.k2 + m[1, 1] * grid.k2**2
+    b = kmk * phi + grid.to_spectral(rho_vals * f_eps_prime(problem.spec, grid.to_grid(phi)))
     b = grid.project_scalar(b, n_modes)
     rho_bar = float(rho_vals.mean())
     start = grid.project_scalar(x0 if x0 is not None else b / rho_bar, n_modes)
