@@ -652,6 +652,31 @@ def test_rk4_step_raises_on_a_non_finite_stage():
     assert exc.value.t == pytest.approx(5e-4)
 
 
+def test_rk4_step_reads_the_model_at_one_time_per_trace_node(monkeypatch):
+    # the demo reaches t = 0.4960000000000004 by adding 0.004 124 times;
+    # there the full trace's midpoint (t+h) + 0.5 (t - (t+h)) is one ulp
+    # off t + h/2, the half trace's start (the literal 0.496 has no gap).
+    # Both read the model at t + h/2: four times, not five.
+    t, h = 0.4960000000000004, 0.004
+    assert (t + h) + 0.5 * (t - (t + h)) != t + h / 2
+    prob = make_problem(n=8)
+    g = prob.grid
+    state = make_state(prob, u_zero(g), phi_constant(g, 0.1))
+    state = FlowState(t, state.u, state.phi, state.rho, state.mu)
+    zero = (np.zeros_like(state.u), np.zeros_like(state.phi))
+    still = StepRecord(t, h, np.zeros((4,) + state.u.shape, dtype=complex))
+    times, coef_at = [], StepRecord.coef_at
+
+    def traced_coef_at(record, tau):
+        times.append(tau)
+        return coef_at(record, tau)
+
+    monkeypatch.setattr(StepRecord, "coef_at", traced_coef_at)
+    rk4_step(prob, state, h, zero, still, lambda st, start: zero)
+    assert len(times) == 4
+    assert t + h / 2 in times
+
+
 def test_step_starts_each_solve_from_the_nearest_solution(monkeypatch):
     # one 16^2 step at a 1:100 blob, every solve seen as perfbench's
     # wrap_cg sees it: by _cg's five positional arguments
