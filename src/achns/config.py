@@ -122,11 +122,11 @@ def _phi_band_random(grid, seed, kmax, amplitude, mean, extra_modes):
 # every initial-data profile: the keys it reads, in order, and its builder,
 # called with the grid (the box lengths for density) and those keys' values
 _PROFILES = {
-    ("density", "constant"): (("value",), lambda lengths, value: ConstantDensity(value)),
+    ("density", "constant"): (("value",), lambda box, value: ConstantDensity(value)),
     ("density", "sinusoidal"): (("base", "amplitude", "k1", "k2"),
-                                lambda lengths, b, a, k1, k2: SinusoidalDensity(b, a, lengths, k1, k2)),
+                                lambda box, b, a, k1, k2: SinusoidalDensity(b, a, box, k1, k2)),
     ("density", "blob"): (("base", "amplitude", "width", "center1", "center2"),
-                          lambda lengths, b, a, w, c1, c2: BlobDensity(b, a, w, (c1, c2), lengths)),
+                          lambda box, b, a, w, c1, c2: BlobDensity(b, a, w, (c1, c2), box)),
     ("initial_phi", "constant"): (("value",), phi_constant),
     ("initial_phi", "modes"): (("modes",), phi_modes),
     ("initial_phi", "band_random"): (("seed", "kmax", "amplitude", "mean", "extra_modes"),
@@ -236,9 +236,6 @@ class _View:
             return parse(raw, line)
         return default
 
-    def explicit_keys(self, section):
-        return {k for (s, k) in self.entries if s == section}
-
     def section_line(self, section, fallback=None):
         lines = [ln for (s, _), (_, ln) in self.entries.items() if s == section]
         return min(lines) if lines else fallback
@@ -255,7 +252,8 @@ def _read_profile(view, section):
                           view.line(section, "profile", first))
     keys = _PROFILES[(section, profile)][0]
     # only [density] has mollify_width, which applies to every profile
-    stray = sorted(view.explicit_keys(section) - {"profile", "mollify_width", *keys})
+    given = {k for (s, k) in view.entries if s == section}
+    stray = sorted(given - {"profile", "mollify_width", *keys})
     if stray:
         raise ConfigError(f"key {stray[0]!r} does not apply to {section} profile {profile!r}",
                           view.line(section, stray[0]))
@@ -292,12 +290,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc), view.section_line("domain", 0)) from exc
 
     if view.has("anisotropy", "beta"):
-        for key in ("m11", "m12", "m22"):
-            if view.has("anisotropy", key):
-                raise ConfigError(
-                    "beta excludes explicit matrix entries",
-                    view.line("anisotropy", "beta"),
-                )
+        if any(view.has("anisotropy", key) for key in ("m11", "m12", "m22")):
+            raise ConfigError("beta excludes explicit matrix entries",
+                              view.line("anisotropy", "beta"))
         model = taylor_cahn_matrix(view.get("anisotropy", "beta"))
     else:
         m11 = view.get("anisotropy", "m11")

@@ -77,9 +77,8 @@ def trace_points(grid: TorusGrid, record: StepRecord, pts, t_froms, t_to: float)
     each in the record's velocity model, in either direction of time. The
     traces share one jet per model time (start, midpoint, t_to), visited
     from the farthest from t_to in and dropped before the next is built.
-    A midpoint within one ulp of a start reads the model at that start, as
-    the full trace's midpoint does at the half trace's start t + h/2 of
-    `rk4_step`; the feet's arithmetic keeps the midpoint's own h.
+    A midpoint within one ulp of a start (`rk4_step`'s t + h/2) reads the
+    model at that start; the feet's arithmetic is unchanged.
     """
     hs = [t_to - s for s in t_froms]
     mids = [s + 0.5 * h for s, h in zip(t_froms, hs)]
