@@ -78,7 +78,7 @@ def trace_points(grid: TorusGrid, record: StepRecord, pts, t_froms, t_to: float)
     traces share one jet per model time (start, midpoint, t_to), visited
     from the farthest from t_to in and dropped before the next is built.
     A midpoint within one ulp of a start (`rk4_step`'s t + h/2) reads the
-    model at that start; the feet's arithmetic is unchanged.
+    model at that start, so the two share one jet.
     """
     hs = [t_to - s for s in t_froms]
     mids = [s + 0.5 * h for s, h in zip(t_froms, hs)]
