@@ -175,8 +175,9 @@ class TorusGrid:
     # --- calculus ---------------------------------------------------------
 
     def grad(self, coef):
-        """Spectral gradient of a scalar: coefficients of (d1 f, d2 f)."""
-        return np.stack([1j * self.k1 * coef, 1j * self.k2 * coef])
+        """Spectral gradient: coefficients of (d1 f, d2 f) for a scalar,
+        and of du[i, j] = d_j u_i for a vector stack u."""
+        return np.stack([1j * self.k1 * coef, 1j * self.k2 * coef], axis=-3)
 
     def div(self, vcoef):
         """Spectral divergence of a 2-vector coefficient stack."""

@@ -69,23 +69,18 @@ def energy_report(grid: TorusGrid, state: FlowState, laws: MaterialLaws,
 
     e_kin = 0.5 * grid.quadrature(rho * (ug[0] ** 2 + ug[1] ** 2))
 
-    gphi = grid.grad(state.phi)
-    gphi_vals = grid.to_grid(gphi)
+    gphi_vals = grid.to_grid(grid.grad(state.phi))
     e_surf = 0.5 * grid.quadrature(gamma_sq(model, np.moveaxis(gphi_vals, 0, -1)))
 
     e_pot = grid.quadrature(rho * f_eps(spec, phig))
 
     # velocity gradient tensor d_j u_i and the symmetric stress pairing
-    du = grid.to_grid(np.stack([grid.grad(state.u[0]), grid.grad(state.u[1])]))
-    contraction = np.zeros(grid.n_grid)
-    for i in range(2):
-        for j in range(2):
-            contraction += (du[i, j] + du[j, i]) * du[i, j]
+    du = grid.to_grid(grid.grad(state.u))
+    contraction = np.sum((du + du.swapaxes(0, 1)) * du, axis=(0, 1))
     d_visc = grid.quadrature(laws.nu(phig) * contraction)
 
     gmu = grid.to_grid(grid.grad(state.mu))
-    gmu_sq = gmu[0] ** 2 + gmu[1] ** 2
-    d_diff = grid.quadrature(laws.mobility(phig) * gmu_sq)
+    d_diff = grid.quadrature(laws.mobility(phig) * (gmu[0] ** 2 + gmu[1] ** 2))
 
     fpr = f_eps_prime(spec, phig)
     return EnergyReport(
@@ -145,14 +140,8 @@ class EnergyCsvWriter:
 
     def __call__(self, state: FlowState):
         rep = energy_report(self.grid, state, self.laws, self.model, self.spec)
-        if self.reports:
-            prev = self.reports[-1]
-            span = rep.t - prev.t
-            resid = rep.e_total - prev.e_total + span * 0.5 * (
-                rep.dissipation + prev.dissipation
-            )
-        else:
-            resid = 0.0
+        prev = self.reports[-1:]
+        resid = energy_law_residual(prev + [rep], rep.t - prev[0].t)[0][0] if prev else 0.0
         self.reports.append(rep)
         row = (
             rep.t, rep.e_kin, rep.e_surf, rep.e_pot, rep.e_total,

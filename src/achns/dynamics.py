@@ -110,8 +110,8 @@ class Problem:
 
     n_modes_u and n_modes_phi set the Galerkin spaces of u and phi: the
     lowest n modes of the retained band (`TorusGrid.project_scalar`),
-    None for the whole band. Every right-hand side, mass operator and
-    initial field is projected onto them."""
+    None for the whole band, u's divergence-free. Every right-hand side,
+    mass operator and initial field goes through project_u or project_phi."""
 
     grid: TorusGrid
     model: AnisotropyModel
@@ -138,11 +138,16 @@ class Problem:
             raise DomainError("initial density must be strictly positive")
         object.__setattr__(self, "report", report)
 
+    def project_u(self, coef):
+        return self.grid.project_scalar(self.grid.leray_project(coef), self.n_modes_u)
+
+    def project_phi(self, coef):
+        return self.grid.project_scalar(coef, self.n_modes_phi)
+
     def initial_state(self, u0_grid, phi0_grid) -> FlowState:
         g = self.grid
-        u = g.leray_project(g.to_spectral(np.asarray(u0_grid, dtype=float)))
-        phi = g.to_spectral(np.asarray(phi0_grid, dtype=float))
-        u, phi = g.project_scalar(u, self.n_modes_u), g.project_scalar(phi, self.n_modes_phi)
+        u = self.project_u(g.to_spectral(np.asarray(u0_grid, dtype=float)))
+        phi = self.project_phi(g.to_spectral(np.asarray(phi0_grid, dtype=float)))
         rho = density_from_displacement(self.rho0, g, None)
         return FlowState(0.0, u, phi, rho, solve_mu(self, phi, rho), None)
 
@@ -257,13 +262,17 @@ def _cg(apply_a, b, x0, rtol, label):
     )
 
 
-def _scalar_mass_apply(grid, rho_vals, n_modes):
-    return lambda w: grid.project_scalar(grid.to_spectral(rho_vals * grid.to_grid(w)), n_modes)
+def _mass_apply(grid, project, rho_vals):
+    return lambda w: project(grid.to_spectral(rho_vals * grid.to_grid(w)))
 
 
-def _vector_mass_apply(grid, rho_vals, n_modes):
-    return lambda w: grid.project_scalar(
-        grid.leray_project(grid.to_spectral(rho_vals * grid.to_grid(w))), n_modes)
+def _mass_solve(grid, project, rho_vals, b, x0, label):
+    """x in the space of project with project(rho x) = project(b), started
+    from x0 as given (in that space) or, for None, from b / mean(rho)."""
+    b = project(b)
+    if x0 is None:
+        x0 = project(b / float(rho_vals.mean()))
+    return _cg(_mass_apply(grid, project, rho_vals), b, x0, DEFAULT_RTOL, label)
 
 
 def solve_mu(problem: Problem, phi, rho: DensityField, *, x0=None) -> np.ndarray:
@@ -273,14 +282,11 @@ def solve_mu(problem: Problem, phi, rho: DensityField, *, x0=None) -> np.ndarray
     phi (the problem's quadratic form), so its term is phi's coefficients
     times k^T M k. x0, a potential of a nearby state, starts the mass
     solve."""
-    grid, n_modes, m = problem.grid, problem.n_modes_phi, problem.model.matrix
+    grid, m = problem.grid, problem.model.matrix
     rho_vals = rho.values
     kmk = m[0, 0] * grid.k1**2 + 2 * m[0, 1] * grid.k1 * grid.k2 + m[1, 1] * grid.k2**2
     b = kmk * phi + grid.to_spectral(rho_vals * f_eps_prime(problem.spec, grid.to_grid(phi)))
-    b = grid.project_scalar(b, n_modes)
-    rho_bar = float(rho_vals.mean())
-    start = grid.project_scalar(x0 if x0 is not None else b / rho_bar, n_modes)
-    return _cg(_scalar_mass_apply(grid, rho_vals, n_modes), b, start, DEFAULT_RTOL, "potential")
+    return _mass_solve(grid, problem.project_phi, rho_vals, b, x0, "potential")
 
 
 # --- right-hand sides --------------------------------------------------------
@@ -289,9 +295,9 @@ def _assemble(problem, state, frozen, start):
     """Shared weak-form assembly. frozen is None for the self-consistent
     system, or the pair (u~, phi~) that sets the advection velocity, the
     transported and capillary gradients and the material coefficients
-    of the linearized one. start is None, for the starts b / rho_bar of
-    the two mass solves, or a derivative pair to start them from."""
-    grid, laws, n_u, n_phi = problem.grid, problem.laws, problem.n_modes_u, problem.n_modes_phi
+    of the linearized one. start is None, for cold starts of the two
+    mass solves, or a derivative pair to start them from."""
+    grid, laws = problem.grid, problem.laws
     rho_vals, u, phi = state.rho.values, state.u, state.phi
     ug = grid.to_grid(u)
     phig = grid.to_grid(phi)
@@ -303,34 +309,22 @@ def _assemble(problem, state, frozen, start):
         lawg = grid.to_grid(frozen[1])
         gfrozen_vals = grid.to_grid(grid.grad(frozen[1]))
     mug = grid.to_grid(state.mu)
-    nu = laws.nu(lawg)
-    dd = laws.mobility(lawg)
+    du0, dphi0 = (None, None) if start is None else start
 
-    # velocity gradients d_j u_i on the grid, as du[i, j]
-    du = grid.to_grid(np.stack([grid.grad(u[0]), grid.grad(u[1])]))
-
-    fpr = f_eps_prime(problem.spec, phig)
-    b_u = np.empty((2,) + grid.band_shape, dtype=complex)
-    for i in range(2):
-        conv = rho_vals * (advg[0] * du[i, 0] + advg[1] * du[i, 1])
-        # symmetric stress row: S_ij = d_j u_i + d_i u_j
-        s_i0 = nu * (du[i, 0] + du[0, i])
-        s_i1 = nu * (du[i, 1] + du[1, i])
-        stress_div = grid.div(grid.to_spectral(np.stack([s_i0, s_i1])))
-        force = rho_vals * (mug * gfrozen_vals[i] - fpr * gphi_vals[i])
-        b_u[i] = -grid.to_spectral(conv) + stress_div + grid.to_spectral(force)
-    b_u = grid.project_scalar(grid.leray_project(b_u), n_u)
-
-    rho_bar = float(rho_vals.mean())
-    du0 = grid.leray_project(b_u / rho_bar) if start is None else start[0]
-    dudt = _cg(_vector_mass_apply(grid, rho_vals, n_u), b_u, du0, DEFAULT_RTOL, "velocity")
+    # du[i, j] = d_j u_i; the stress is symmetric bit for bit, so div may contract either index
+    du = grid.to_grid(grid.grad(u))
+    stress = laws.nu(lawg) * (du + du.swapaxes(0, 1))
+    conv = rho_vals * (advg[0] * du[:, 0] + advg[1] * du[:, 1])
+    force = rho_vals * (mug * gfrozen_vals - f_eps_prime(problem.spec, phig) * gphi_vals)
+    coef = grid.to_spectral(np.concatenate([stress.reshape((4,) + grid.n_grid), conv, force]))
+    b_u = -coef[4:6] + grid.div(coef[:4].reshape((2, 2) + grid.band_shape)) + coef[6:]
+    dudt = _mass_solve(grid, problem.project_u, rho_vals, b_u, du0, "velocity")
 
     gmu_vals = grid.to_grid(grid.grad(state.mu))
     conv_phi = rho_vals * (ug[0] * gfrozen_vals[0] + ug[1] * gfrozen_vals[1])
-    flux = grid.div(grid.to_spectral(dd * gmu_vals))
-    b_phi = grid.project_scalar(-grid.to_spectral(conv_phi) + flux, n_phi)
-    dphi0 = b_phi / rho_bar if start is None else start[1]
-    dphidt = _cg(_scalar_mass_apply(grid, rho_vals, n_phi), b_phi, dphi0, DEFAULT_RTOL, "concentration")
+    coef = grid.to_spectral(np.concatenate([laws.mobility(lawg) * gmu_vals, conv_phi[None]]))
+    b_phi = -coef[2] + grid.div(coef[:2])
+    dphidt = _mass_solve(grid, problem.project_phi, rho_vals, b_phi, dphi0, "concentration")
     return dudt, dphidt
 
 

@@ -125,6 +125,17 @@ def test_grad_of_cosine_example():
     assert np.max(np.abs(grid.to_grid(gy))) < 1e-13
 
 
+def test_grad_of_a_vector_stack_puts_the_derivative_axis_second():
+    rng = np.random.default_rng(4)
+    grid = make_grid(16)
+    u = grid.to_spectral(random_band_field(grid, rng, lead=(2,)))
+    du = grid.grad(u)
+    assert du.shape == (2, 2) + grid.band_shape
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(du[i, j], grid.grad(u[i])[j]), (i, j)
+
+
 def test_laplacian_symbol():
     rng = np.random.default_rng(3)
     grid = make_grid(16)

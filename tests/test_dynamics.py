@@ -13,10 +13,9 @@ from achns.dynamics import (
     Problem,
     StepperConfig,
     _cg,
+    _mass_apply,
     _norm,
-    _scalar_mass_apply,
     _start,
-    _vector_mass_apply,
     linearized_rhs,
     rhs,
     rk4_step,
@@ -181,7 +180,7 @@ def test_cg_returns_only_on_the_true_residual():
         rng = np.random.default_rng(seed)
         rho = 1.0 + 999 * rng.uniform(0.5, 1.0) * bump
         b = g.leray_project(g.to_spectral(rng.standard_normal((2, 16, 16))))
-        apply_a = _vector_mass_apply(g, rho, None)
+        apply_a = _mass_apply(g, g.leray_project, rho)
         x = _cg(apply_a, b, b / rho.mean(), 1e-13, "velocity")
         r = b - apply_a(x)
         assert np.sqrt(vdot(r, r)) <= 1e-13 * np.sqrt(vdot(b, b)), seed
@@ -200,8 +199,8 @@ def blob_mass_operators(n=16, ratio=100.0):
     def vector_field(seed):
         return g.leray_project(g.to_spectral(np.random.default_rng(seed).standard_normal((2, n, n))))
 
-    return [(_scalar_mass_apply(g, rho, None), scalar_field),
-            (_vector_mass_apply(g, rho, None), vector_field)]
+    return [(_mass_apply(g, lambda c: c, rho), scalar_field),
+            (_mass_apply(g, g.leray_project, rho), vector_field)]
 
 
 def a_norm_sq(apply_a, e):
@@ -463,6 +462,48 @@ def test_linearized_matches_rhs_when_frozen_is_current():
     du_b, dphi_b = linearized_rhs(prob, state, state.u.copy(), state.phi.copy())
     assert np.max(np.abs(du_a - du_b)) < 1e-14
     assert np.max(np.abs(dphi_a - dphi_b)) < 1e-14
+
+
+@pytest.mark.parametrize("linearized", [False, True])
+def test_each_right_hand_side_makes_two_forward_transforms(monkeypatch, linearized):
+    # with the mass solves stubbed out, the momentum terms (stress,
+    # convection, force) go through one transform and the concentration
+    # terms (mobility flux, convection) through another
+    prob = make_problem()
+    g = prob.grid
+    state = make_state(prob, u_taylor_green(g, 0.3),
+                       phi_band_random(g, seed=5, kmax=2, amplitude=0.4, mean=-0.05))
+    to_spectral = TorusGrid.to_spectral
+    calls = []
+
+    def counted(self, values):
+        calls.append(np.shape(values))
+        return to_spectral(self, values)
+
+    monkeypatch.setattr(dynamics, "_cg", lambda apply_a, b, x0, rtol, label: b)
+    monkeypatch.setattr(TorusGrid, "to_spectral", counted)
+    if linearized:
+        linearized_rhs(prob, state, state.u, state.phi)
+    else:
+        rhs(prob, state)
+    assert calls == [(8,) + g.n_grid, (3,) + g.n_grid]
+
+
+def test_mass_solve_projects_b_and_uses_a_given_start_as_it_is(monkeypatch):
+    prob = make_problem(n_modes_u=9, n_modes_phi=13)
+    g = prob.grid
+    rho = make_state(prob, u_zero(g), phi_constant(g, 0.0)).rho.values
+    b = g.to_spectral(np.random.default_rng(3).standard_normal((2,) + g.n_grid))
+    seen = []
+    monkeypatch.setattr(dynamics, "_cg", lambda apply_a, b, x0, rtol, label: seen.append((b, x0)))
+    dynamics._mass_solve(g, prob.project_u, rho, b, None, "velocity")
+    pb = prob.project_u(b)
+    assert np.array_equal(seen[0][0], pb)
+    assert np.array_equal(seen[0][1], prob.project_u(pb / float(rho.mean())))
+    x0 = b[0]
+    dynamics._mass_solve(g, prob.project_phi, rho, b[1], x0, "concentration")
+    assert np.array_equal(seen[1][0], prob.project_phi(b[1]))
+    assert seen[1][1] is x0
 
 
 def test_linearized_constant_frozen_phi_flux_only():
