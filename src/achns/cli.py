@@ -224,13 +224,21 @@ def _run_final_state(cfg):
     return grid, summary.final_state
 
 
+def _flag_values(text, flag, convert):
+    """convert of each comma-separated token of a flag; DomainError names a bad one."""
+    try:
+        return [convert(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise DomainError(f"{flag}: {exc}") from None
+
+
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if (args.modes is None) == (args.eps is None):
         raise DomainError("pass exactly one of --modes or --eps")
 
     if args.modes is not None:
-        sizes = sorted({int(tok) for tok in args.modes.split(",") if tok.strip()})
+        sizes = sorted(set(_flag_values(args.modes, "--modes", int)))
         if len(sizes) < 2:
             raise DomainError("--modes needs at least two sizes")
         # every sweep grid is checked before the first run
@@ -247,7 +255,7 @@ def _cmd_sweep(args) -> int:
                   f"diff_total={_fmt(diff_u + diff_phi)}")
         return 0
 
-    eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
+    eps_values = _flag_values(args.eps, "--eps", float)
     if len(eps_values) < 2:
         raise DomainError("--eps needs at least two values")
     e0_unreg = None

@@ -234,7 +234,7 @@ class _View:
         if (section, key) in self.entries:
             raw, line = self.entries[(section, key)]
             return parse(raw, line)
-        return default
+        return list(default) if isinstance(default, list) else default
 
     def section_line(self, section, fallback=None):
         lines = [ln for (s, _), (_, ln) in self.entries.items() if s == section]

@@ -264,6 +264,8 @@ def bihari_check(bound: BihariBound | None = None, n_trials: int = 20,
     horizon. Returns True when every integrated solution stays below
     the majorant up to 1e-6 relative slack.
     """
+    if n_trials < 0:
+        raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
     cases = [] if bound is None else [bound]
     rng = np.random.default_rng(seed)
     for _ in range(n_trials):

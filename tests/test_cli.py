@@ -204,6 +204,13 @@ def test_bihari_bad_args(capsys):
     assert main(["bihari", "--c1", "-1", "--g0", "0", "--y0", "1"]) == 1
 
 
+def test_bihari_negative_check_count_is_a_config_error(capsys):
+    assert main(["bihari", "--c1", "1", "--g0", "1", "--y0", "1", "--check", "-3"]) == 1
+    out, err = capsys.readouterr()
+    assert "check: pass" not in out
+    assert err.startswith("config error: ") and "-3" in err
+
+
 # --- besov -------------------------------------------------------------------
 
 def test_besov_on_run_output(small_cfg, tmp_path, capsys):
@@ -278,6 +285,17 @@ def test_sweep_requires_exactly_one_mode(tiny_cfg, capsys):
     assert main(["sweep", "--config", tiny_cfg, "--modes", "8,16",
                  "--eps", "0.1,0.2"]) == 1
     assert main(["sweep", "--config", tiny_cfg, "--modes", "8"]) == 1
+
+
+@pytest.mark.parametrize("flag, value, token", [
+    ("--modes", "16,abc", "'abc'"),
+    ("--eps", "0.1,x", "'x'"),
+])
+def test_sweep_names_a_bad_token(tiny_cfg, capsys, flag, value, token):
+    assert main(["sweep", "--config", tiny_cfg, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: ")
+    assert token in err
 
 
 @pytest.mark.parametrize("key, count, nearest", [

@@ -98,6 +98,13 @@ def test_full_spelling_matches_defaults():
     assert np.array_equal(ra, rb)
 
 
+def test_a_parse_shares_no_default_list():
+    first = parse_config("")
+    default = list(first.phi_init["extra_modes"])
+    first.phi_init["extra_modes"].append((1, 1, 1e-3, 0.0))
+    assert parse_config("").phi_init["extra_modes"] == default
+
+
 def test_load_config_none_is_defaults():
     cfg = load_config(None)
     assert cfg.n_grid == (32, 32)

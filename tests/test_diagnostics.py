@@ -349,6 +349,12 @@ def test_bihari_exact_equality_without_forcing():
         assert bihari_bound_at(b, t) == pytest.approx(1.0 / (1.0 - t), rel=1e-14)
 
 
+def test_bihari_check_refuses_a_negative_trial_count():
+    with pytest.raises(DomainError, match="n_trials"):
+        bihari_check(n_trials=-3)
+    assert bihari_check(bihari_horizon(1.0, 1.0, 1.0), n_trials=0)
+
+
 def test_bihari_check_random_trials():
     assert bihari_check(n_trials=20)
     assert bihari_check(bihari_horizon(3.0, 2.0, 0.7), n_trials=5, seed=4)
