@@ -1,15 +1,9 @@
-"""Directional surface-energy laws and their hypothesis checks.
+"""Quadratic surface-energy laws and their hypothesis checks.
 
-The energy density is ``0.5 * gamma_sq(grad phi)`` for a
-degree-one-homogeneous map Gamma. Two families are supported:
-
-* quadratic forms ``Gamma^2(p) = p^T M p`` with symmetric M, the only
-  family admissible in the dynamics, since the capillary vector must be
-  linear in p;
-* the cubic-crystal family with parameters (alpha, beta) in three
-  dimensions, kept for evaluation and hypothesis checking. Its
-  capillary vector is nonlinear for alpha != 0 and kinked where a
-  product p_i p_j vanishes.
+The energy density is ``0.5 * gamma_sq(grad phi)`` with
+``Gamma^2(p) = p^T M p`` for a symmetric matrix M. Gamma is then
+degree-one homogeneous and the capillary vector ``(Gamma xi)(p) = M p``
+is linear in p, which the dynamics need.
 
 The three structural hypotheses are: (1) two-sided spectral bounds
 ``r |p|^2 <= Gamma^2(p) <= R |p|^2`` with r > 0, (2) linearity of the
@@ -20,47 +14,35 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import DimensionError, DomainError, KinkError
-
-QUADRATIC_FORM = "quadratic_form"
-TAYLOR_CAHN = "taylor_cahn"
+from .errors import DimensionError, DomainError
 
 
 @dataclass(frozen=True)
 class AnisotropyModel:
-    kind: str
-    dim: int
-    matrix: Optional[np.ndarray] = None
-    alpha: float = 0.0
-    beta: float = 0.0
+    """The quadratic form ``Gamma^2(p) = p^T M p``; M is stored symmetrized
+    and read-only."""
+
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.kind == QUADRATIC_FORM:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (self.dim, self.dim):
-                raise DimensionError(f"matrix shape {m.shape} != ({self.dim}, {self.dim})")
-            if np.max(np.abs(m - m.T)) > 1e-12:
-                raise DomainError("quadratic-form matrix must be symmetric to 1e-12")
-            object.__setattr__(self, "matrix", 0.5 * (m + m.T))
-            self.matrix.setflags(write=False)
-        elif self.kind == TAYLOR_CAHN:
-            if self.dim != 3:
-                raise DimensionError("the (alpha, beta) family is three-dimensional")
-            if self.alpha <= -1 or self.beta <= -1:
-                raise DomainError("alpha and beta must exceed -1")
-        else:
-            raise DomainError(f"unknown anisotropy kind {self.kind!r}")
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError(f"matrix shape {m.shape} is not square")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("quadratic-form matrix has a non-finite entry")
+        if np.max(np.abs(m - m.T)) > 1e-12:
+            raise DomainError("quadratic-form matrix must be symmetric to 1e-12")
+        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+        self.matrix.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def quadratic_form(matrix) -> AnisotropyModel:
-    matrix = np.asarray(matrix, dtype=float)
-    return AnisotropyModel(kind=QUADRATIC_FORM, dim=matrix.shape[0], matrix=matrix)
-
-
-def taylor_cahn(alpha: float, beta: float) -> AnisotropyModel:
-    return AnisotropyModel(kind=TAYLOR_CAHN, dim=3, alpha=float(alpha), beta=float(beta))
+    return AnisotropyModel(matrix)
 
 
 def taylor_cahn_matrix(beta: float) -> AnisotropyModel:
@@ -70,7 +52,9 @@ def taylor_cahn_matrix(beta: float) -> AnisotropyModel:
     eigenvalues are 1 (along (1,1,1)) and 1 + 6 beta (doubly). Validity
     is the caller's job via check_hypotheses; no threshold is baked in.
     """
-    m = (1.0 + 6.0 * beta) * np.eye(3) - 2.0 * beta * np.ones((3, 3))
+    # an infinite beta makes NaN entries here, which quadratic_form refuses
+    with np.errstate(invalid="ignore"):
+        m = (1.0 + 6.0 * beta) * np.eye(3) - 2.0 * beta * np.ones((3, 3))
     return quadratic_form(m)
 
 
@@ -86,52 +70,13 @@ def _check_p(model, p):
 def gamma_sq(model: AnisotropyModel, p):
     """Squared surface-energy density Gamma^2(p); vectorized over leading axes."""
     p = _check_p(model, p)
-    if model.kind == QUADRATIC_FORM:
-        return np.einsum("...i,ij,...j->...", p, model.matrix, p)
-    p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2]
-    iso = p1**2 + p2**2 + p3**2
-    cross = np.abs(p1 * p2) + np.abs(p1 * p3) + np.abs(p2 * p3)
-    diff = (p1 - p2) ** 2 + (p1 - p3) ** 2 + (p2 - p3) ** 2
-    return iso + 2.0 * model.alpha * cross + 2.0 * model.beta * diff
+    return np.einsum("...i,ij,...j->...", p, model.matrix, p)
 
 
 def xi_cap(model: AnisotropyModel, p):
-    """Capillary vector (Gamma xi)(p) = 0.5 * grad_p Gamma^2(p).
-
-    For quadratic forms this is M p. For the cubic family with
-    alpha != 0 the map is kinked where any product p_i p_j vanishes and
-    evaluation there raises instead of silently picking a subgradient.
-    """
+    """Capillary vector (Gamma xi)(p) = 0.5 * grad_p Gamma^2(p) = M p."""
     p = _check_p(model, p)
-    if model.kind == QUADRATIC_FORM:
-        return np.einsum("ij,...j->...i", model.matrix, p)
-    p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2]
-    if model.alpha != 0.0:
-        prods = np.stack([p1 * p2, p1 * p3, p2 * p3], axis=-1)
-        bad = np.any(prods == 0.0, axis=-1)
-        if np.any(bad):
-            where = p[bad][0] if p.ndim > 1 else p
-            raise KinkError(
-                f"capillary vector is not differentiable at {np.asarray(where)} "
-                "(a coordinate product vanishes and alpha != 0)",
-                p=np.asarray(where),
-            )
-    a, b = model.alpha, model.beta
-    s12, s13, s23 = np.sign(p1 * p2), np.sign(p1 * p3), np.sign(p2 * p3)
-    out = np.empty_like(p)
-    out[..., 0] = p1 + a * (s12 * p2 + s13 * p3) + 2 * b * (2 * p1 - p2 - p3)
-    out[..., 1] = p2 + a * (s12 * p1 + s23 * p3) + 2 * b * (2 * p2 - p1 - p3)
-    out[..., 2] = p3 + a * (s13 * p1 + s23 * p2) + 2 * b * (2 * p3 - p1 - p2)
-    return out
-
-
-def capillary_stress(model: AnisotropyModel, grad_phi):
-    """Outer product (Gamma xi)(grad phi) (x) grad phi, entry (i, j) = xi_i p_j."""
-    if model.kind != QUADRATIC_FORM:
-        raise DomainError("capillary stress requires a quadratic-form model")
-    p = _check_p(model, grad_phi)
-    xi = xi_cap(model, p)
-    return np.einsum("...i,...j->...ij", xi, p)
+    return np.einsum("ij,...j->...i", model.matrix, p)
 
 
 @dataclass(frozen=True)
@@ -158,66 +103,17 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _ratio(model, p):
-    return gamma_sq(model, p) / np.sum(p * p, axis=-1)
+def check_hypotheses(model: AnisotropyModel) -> HypothesisReport:
+    """Verify the three structural hypotheses by a symmetric eigen-solve.
 
-
-def check_hypotheses(model: AnisotropyModel, n_samples: int = 1000) -> HypothesisReport:
-    """Verify the three structural hypotheses.
-
-    Quadratic forms are handled exactly by a symmetric eigen-solve;
-    the (alpha, beta) family is sampled on unit vectors with local
-    refinement of the extreme Rayleigh-type ratios. Always returns a
-    report; failures carry a witness.
+    r and R are the extreme eigenvalues of M. H2 holds for every
+    quadratic form, and H3 holds iff r >= 0, since p . M p = Gamma^2(p).
+    Always returns a report; an H1 failure carries the eigenvector of r
+    as its witness.
     """
-    if n_samples < 100:
-        raise DomainError("n_samples must be at least 100")
-    if model.kind == QUADRATIC_FORM:
-        vals, vecs = np.linalg.eigh(model.matrix)
-        r, big = float(vals[0]), float(vals[-1])
-        h1 = r > 0.0
-        h3 = r >= 0.0
-        witness = None if h1 else vecs[:, 0].copy()
-        return HypothesisReport(r=r, R=big, h1_holds=h1, h2_holds=True, h3_holds=h3, witness=witness)
-
-    rng = np.random.default_rng(20240917)
-    p = rng.standard_normal((n_samples, model.dim))
-    p /= np.linalg.norm(p, axis=1, keepdims=True)
-    ratios = _ratio(model, p)
-
-    def refine(p0, sign):
-        res = minimize(
-            lambda q: sign * _ratio(model, q.reshape(-1)),
-            p0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        return sign * res.fun, res.x / np.linalg.norm(res.x)
-
-    r, p_min = refine(p[np.argmin(ratios)], +1.0)
-    big, _ = refine(p[np.argmax(ratios)], -1.0)
-    big = float(max(np.max(ratios), big))
-    r = float(min(np.min(ratios), r))
-
-    # H2: additivity of the capillary vector on generic sample pairs
-    h2 = True
-    witness = None
-    q = rng.standard_normal((n_samples, model.dim))
-    scale = np.maximum(np.linalg.norm(p, axis=1), np.linalg.norm(q, axis=1))
-    try:
-        gap = xi_cap(model, p + q) - xi_cap(model, p) - xi_cap(model, q)
-        bad = np.linalg.norm(gap, axis=1) > 1e-10 * scale
-        if np.any(bad):
-            h2 = False
-            i = int(np.argmax(bad))
-            witness = np.stack([p[i], q[i]])
-    except KinkError as err:
-        h2 = False
-        witness = err.p
-
-    # H3 via the Euler identity p . xi = Gamma^2: nonnegativity of the form
-    h3 = r >= 0.0
+    vals, vecs = np.linalg.eigh(model.matrix)
+    r, big = float(vals[0]), float(vals[-1])
     h1 = r > 0.0
-    if not h1 and witness is None:
-        witness = p_min
-    return HypothesisReport(r=r, R=big, h1_holds=h1, h2_holds=h2, h3_holds=h3, witness=witness)
+    h3 = r >= 0.0
+    witness = None if h1 else vecs[:, 0].copy()
+    return HypothesisReport(r=r, R=big, h1_holds=h1, h2_holds=True, h3_holds=h3, witness=witness)

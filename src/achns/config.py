@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anisotropy import AnisotropyModel, check_hypotheses, quadratic_form, taylor_cahn_matrix
+from .anisotropy import AnisotropyModel, check_hypotheses, quadratic_form
 from .basis import TorusGrid
 from .dynamics import MaterialLaws, Problem, StepperConfig
 from .errors import ConfigError, DimensionError, DomainError
@@ -41,9 +41,12 @@ SNAPSHOT_CHOICES = ("none", "final", "all")
 
 def _pfloat(text, line):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}", line) from None
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}", line)
+    return value
 
 
 def _pint(text, line):
@@ -86,8 +89,7 @@ def _pmodes(text, line):
 _SCHEMA = {
     "domain": {"l1": (_pfloat, TWO_PI), "l2": (_pfloat, TWO_PI),
                "n1": (_pint, 32), "n2": (_pint, 32)},
-    "anisotropy": {"m11": (_pfloat, 1.2), "m12": (_pfloat, -0.1), "m22": (_pfloat, 1.0),
-                   "beta": (_pfloat, None)},
+    "anisotropy": {"m11": (_pfloat, 1.2), "m12": (_pfloat, -0.1), "m22": (_pfloat, 1.0)},
     "potential": {"lambda1": (_pfloat, 1.0), "lambda2": (_pfloat, 0.5), "eps": (_pfloat, 0.1)},
     "material": {"nu_minus": (_pfloat, 0.12), "nu_plus": (_pfloat, 0.08),
                  "d_minus": (_pfloat, 0.0146), "d_plus": (_pfloat, 0.0146)},
@@ -289,16 +291,10 @@ def parse_config(text: str) -> RunConfig:
     except (DimensionError, DomainError) as exc:
         raise ConfigError(str(exc), view.section_line("domain", 0)) from exc
 
-    if view.has("anisotropy", "beta"):
-        if any(view.has("anisotropy", key) for key in ("m11", "m12", "m22")):
-            raise ConfigError("beta excludes explicit matrix entries",
-                              view.line("anisotropy", "beta"))
-        model = taylor_cahn_matrix(view.get("anisotropy", "beta"))
-    else:
-        m11 = view.get("anisotropy", "m11")
-        m12 = view.get("anisotropy", "m12")
-        m22 = view.get("anisotropy", "m22")
-        model = quadratic_form([[m11, m12], [m12, m22]])
+    m11 = view.get("anisotropy", "m11")
+    m12 = view.get("anisotropy", "m12")
+    m22 = view.get("anisotropy", "m22")
+    model = quadratic_form([[m11, m12], [m12, m22]])
     report = check_hypotheses(model)
     if not report.all_hold():
         raise ConfigError(

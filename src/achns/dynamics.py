@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anisotropy import AnisotropyModel, QUADRATIC_FORM, check_hypotheses
+from .anisotropy import AnisotropyModel, check_hypotheses
 from .basis import Jet, TorusGrid, vdot
 from .errors import BlowUpError, DomainError, SolverError, StabilityError
 from .potential import PotentialSpec, f_eps_prime, validate_eps
@@ -122,7 +122,7 @@ class Problem:
     n_modes_phi: int | None = None
 
     def __post_init__(self):
-        if self.model.kind != QUADRATIC_FORM or self.model.dim != 2:
+        if self.model.dim != 2:
             raise DomainError("simulation needs a 2d quadratic-form anisotropy")
         report = check_hypotheses(self.model)
         if not report.all_hold():

@@ -13,14 +13,6 @@ class DomainError(AchnsError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class KinkError(AchnsError):
-    """Evaluation at a non-differentiability point of the surface-energy law."""
-
-    def __init__(self, msg, p=None):
-        super().__init__(msg)
-        self.p = p
-
-
 class SolverError(AchnsError):
     """Iterative linear solve failed to reach the requested residual."""
 

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from achns.anisotropy import (
-    capillary_stress,
+    AnisotropyModel,
     check_hypotheses,
     gamma_sq,
     quadratic_form,
-    taylor_cahn,
     taylor_cahn_matrix,
     xi_cap,
 )
-from achns.errors import DomainError, KinkError
+from achns.errors import DimensionError, DomainError
 
 
 CUBIC_HALF = taylor_cahn_matrix(0.5)  # diagonal 3, off-diagonal -1
@@ -25,18 +24,13 @@ def test_cubic_matrix_entries():
 def test_gamma_sq_values():
     assert gamma_sq(CUBIC_HALF, np.array([1.0, 0, 0])) == pytest.approx(3.0, abs=1e-14)
     assert gamma_sq(CUBIC_HALF, np.zeros(3)) == 0.0
-    # direct evaluation of the explicit sum at (1,1,1): cross differences vanish
-    tc = taylor_cahn(0.0, 0.5)
-    assert gamma_sq(tc, np.ones(3)) == pytest.approx(3.0, abs=1e-14)
-    # the two representations agree everywhere for alpha = 0
-    rng = np.random.default_rng(1)
-    p = rng.standard_normal((200, 3))
-    assert np.max(np.abs(gamma_sq(tc, p) - gamma_sq(CUBIC_HALF, p))) < 1e-12
+    # (1,1,1) is the eigenvector of eigenvalue 1
+    assert gamma_sq(CUBIC_HALF, np.ones(3)) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_homogeneity():
     rng = np.random.default_rng(2)
-    for model in (CUBIC_HALF, taylor_cahn(0.3, 0.2), quadratic_form([[2.0, 0.3], [0.3, 1.0]])):
+    for model in (CUBIC_HALF, quadratic_form([[2.0, 0.3], [0.3, 1.0]])):
         p = rng.standard_normal((100, model.dim))
         for s in (0.5, 2.0, 7.3):
             a = gamma_sq(model, s * p)
@@ -60,60 +54,37 @@ def test_xi_cap_values_and_linearity():
 
 def test_euler_identity():
     rng = np.random.default_rng(4)
-    for model in (CUBIC_HALF, taylor_cahn(0.4, 0.7), taylor_cahn(-0.5, 0.1)):
-        p = rng.standard_normal((500, 3))
-        lhs = np.einsum("...i,...i->...", p, xi_cap(model, p))
-        rhs = gamma_sq(model, p)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+    p = rng.standard_normal((500, 3))
+    lhs = np.einsum("...i,...i->...", p, xi_cap(CUBIC_HALF, p))
+    rhs = gamma_sq(CUBIC_HALF, p)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_gradient_consistency_finite_differences():
     rng = np.random.default_rng(5)
     h = 1e-6
-    for model in (CUBIC_HALF, taylor_cahn(0.25, 0.4)):
-        p = rng.standard_normal((200, 3))
-        xi = xi_cap(model, p)
-        for i in range(3):
-            dp = np.zeros(3)
-            dp[i] = h
-            fd = (gamma_sq(model, p + dp) - gamma_sq(model, p - dp)) / (4 * h)
-            denom = np.maximum(np.abs(xi[:, i]), 1.0)
-            assert np.max(np.abs(fd - xi[:, i]) / denom) < 1e-6
-
-
-def test_kink_error():
-    tc = taylor_cahn(0.5, 0.2)
-    with pytest.raises(KinkError):
-        xi_cap(tc, np.array([1.0, 0.0, 1.0]))
-    # alpha = 0: the same point is fine
-    xi_cap(taylor_cahn(0.0, 0.2), np.array([1.0, 0.0, 1.0]))
-
-
-def test_capillary_stress():
-    s = capillary_stress(CUBIC_HALF, np.array([1.0, 0, 0]))
-    assert np.allclose(s[:, 0], [3.0, -1.0, -1.0], atol=1e-14)
-    assert np.max(np.abs(s[:, 1:])) == 0.0
-    assert np.max(np.abs(capillary_stress(CUBIC_HALF, np.zeros(3)))) == 0.0
-    iso = quadratic_form(np.eye(2))
-    a, b = 1.3, -0.7
-    s2 = capillary_stress(iso, np.array([a, b]))
-    assert np.allclose(s2, [[a * a, a * b], [a * b, b * b]], atol=1e-14)
-    with pytest.raises(DomainError):
-        capillary_stress(taylor_cahn(0.0, 0.5), np.ones(3))
+    p = rng.standard_normal((200, 3))
+    xi = xi_cap(CUBIC_HALF, p)
+    for i in range(3):
+        dp = np.zeros(3)
+        dp[i] = h
+        fd = (gamma_sq(CUBIC_HALF, p + dp) - gamma_sq(CUBIC_HALF, p - dp)) / (4 * h)
+        denom = np.maximum(np.abs(xi[:, i]), 1.0)
+        assert np.max(np.abs(fd - xi[:, i]) / denom) < 1e-6
 
 
 def test_check_hypotheses_quadratic():
-    rep = check_hypotheses(CUBIC_HALF, 200)
+    rep = check_hypotheses(CUBIC_HALF)
     assert rep.r == pytest.approx(1.0, abs=1e-12)
     assert rep.R == pytest.approx(4.0, abs=1e-12)
     assert rep.all_hold()
 
-    rep_iso = check_hypotheses(quadratic_form(np.eye(3)), 100)
+    rep_iso = check_hypotheses(quadratic_form(np.eye(3)))
     assert rep_iso.r == rep_iso.R == pytest.approx(1.0, abs=1e-13)
     assert rep_iso.all_hold()
 
     indefinite = quadratic_form(np.diag([1.0, -1.0]))
-    rep_bad = check_hypotheses(indefinite, 100)
+    rep_bad = check_hypotheses(indefinite)
     assert not rep_bad.h1_holds and not rep_bad.h3_holds and rep_bad.h2_holds
     assert rep_bad.witness is not None
     # the witness reproduces the violation
@@ -121,43 +92,17 @@ def test_check_hypotheses_quadratic():
     assert np.allclose(np.abs(rep_bad.witness), [0.0, 1.0], atol=1e-12)
 
 
-def test_check_hypotheses_sampled_family():
-    rep = check_hypotheses(taylor_cahn(0.0, 0.5), 2000)
-    assert rep.r == pytest.approx(1.0, abs=5e-3)
-    assert rep.R == pytest.approx(4.0, abs=5e-3)
-    assert rep.all_hold()
-
-    rep_neg = check_hypotheses(taylor_cahn(0.0, -0.2), 2000)
-    assert rep_neg.r < 0
-    assert not rep_neg.h1_holds
-
-    rep_kink = check_hypotheses(taylor_cahn(0.6, 0.1), 500)
-    assert not rep_kink.h2_holds
-
-
-def test_sampled_upper_bound_keeps_its_sign():
-    # every ratio Gamma^2/|p|^2 is negative here; R is the largest of them
-    model = taylor_cahn(-0.9, -0.9)
-    rep = check_hypotheses(model)
-    p = np.random.default_rng(11).standard_normal((200_000, model.dim))
-    ratios = gamma_sq(model, p) / np.sum(p * p, axis=1)
-    assert ratios.max() < 0
-    assert rep.R < 0
-    assert rep.R >= ratios.max()
-    assert rep.R == pytest.approx(ratios.max(), abs=1e-3)
-
-
 def test_positivity_threshold_is_computed():
     # eigenvalues are {1, 1+6b}: positive just above b = -1/6, not below
-    assert check_hypotheses(taylor_cahn_matrix(-0.16), 100).h1_holds
-    rep = check_hypotheses(taylor_cahn_matrix(-0.17), 100)
+    assert check_hypotheses(taylor_cahn_matrix(-0.16)).h1_holds
+    rep = check_hypotheses(taylor_cahn_matrix(-0.17))
     assert not rep.h1_holds
     assert rep.r == pytest.approx(1 + 6 * (-0.17), abs=1e-12)
 
 
 def test_sandwich_bounds():
     rng = np.random.default_rng(6)
-    rep = check_hypotheses(CUBIC_HALF, 100)
+    rep = check_hypotheses(CUBIC_HALF)
     p = rng.standard_normal((10000, 3))
     g = gamma_sq(CUBIC_HALF, p)
     nsq = np.sum(p * p, axis=1)
@@ -165,6 +110,21 @@ def test_sandwich_bounds():
     assert np.all(g <= rep.R * nsq + 1e-10)
 
 
-def test_n_samples_precondition():
-    with pytest.raises(DomainError):
-        check_hypotheses(CUBIC_HALF, 50)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_entry_is_refused(bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        quadratic_form([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(DomainError, match="non-finite"):
+        taylor_cahn_matrix(bad)
+
+
+def test_model_is_a_symmetrized_read_only_square_matrix():
+    model = AnisotropyModel(np.array([[2.0, 0.3], [0.3 + 1e-13, 1.0]]))
+    assert model.dim == 2
+    assert model.matrix[0, 1] == model.matrix[1, 0]
+    with pytest.raises(ValueError):
+        model.matrix[0, 0] = 5.0
+    with pytest.raises(DimensionError):
+        quadratic_form(np.ones((2, 3)))
+    with pytest.raises(DomainError, match="symmetric"):
+        quadratic_form([[1.0, 0.5], [0.0, 1.0]])

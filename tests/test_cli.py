@@ -133,6 +133,19 @@ def test_check_anisotropy_conflicting_flags(capsys):
     assert main(["check-anisotropy", "--m11", "1"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--beta", "nan"],
+    ["--beta", "inf"],
+    ["--m11", "1", "--m12", "0", "--m22", "inf"],
+    ["--m11", "nan", "--m12", "0", "--m22", "1"],
+])
+def test_check_anisotropy_non_finite_entry(capsys, args):
+    assert main(["check-anisotropy", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: quadratic-form matrix has a non-finite entry\n"
+
+
 # --- potential-table ---------------------------------------------------------
 
 def test_potential_table(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from achns import profiles
 from achns.config import _PROFILES, _SCHEMA, load_config, parse_config
-from achns.errors import ConfigError, DomainError
+from achns.errors import ConfigError
 
 DEMO_TEXT = """\
 # full spelling of the built-in defaults
@@ -178,6 +178,19 @@ def test_bad_number():
     assert "expected a number" in str(err)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("[material]\nd_plus = inf\n", 2),
+    ("[initial_u]\nprofile = taylor_green\namplitude = nan\n", 3),
+    ("[anisotropy]\nm11 = nan\n", 2),
+    ("[time]\ndt = -inf\n", 2),
+    ("[initial_phi]\nprofile = modes\nmodes = 1,0,NaN,0\n", 3),
+])
+def test_non_finite_number(text, line):
+    err = _err(text)
+    assert err.line == line
+    assert "expected a finite number" in str(err)
+
+
 def test_bad_integer():
     err = _err("[domain]\nn1 = 16.5\n")
     assert err.line == 2
@@ -205,15 +218,11 @@ def test_indefinite_anisotropy_cites_r():
     assert "r=-1" in str(err)
 
 
-def test_beta_excludes_matrix_entries():
-    err = _err("[anisotropy]\nbeta = 0.5\nm11 = 1.0\n")
+def test_beta_is_not_a_key():
+    # the anisotropy is a 2-D quadratic form; beta builds a 3-D one
+    err = _err("[anisotropy]\nbeta = 0.5\n")
     assert err.line == 2
-    assert "excludes" in str(err)
-
-
-def test_beta_below_ellipticity_threshold():
-    err = _err("[anisotropy]\nbeta = -0.2\n")
-    assert "not uniformly elliptic" in str(err)
+    assert "unknown key 'beta'" in str(err)
 
 
 def test_nonpositive_density_rejected():
@@ -358,13 +367,6 @@ def test_extra_modes_dropped_outside_band():
     assert abs(cf[k]) > 0.0
     cc = gc.to_spectral(phi_c)
     assert np.isfinite(cc).all()
-
-
-def test_beta_config_parses_but_cannot_simulate():
-    cfg = parse_config("[anisotropy]\nbeta = 0.5\n")
-    assert cfg.model.matrix.shape == (3, 3)
-    with pytest.raises(DomainError, match="2d"):
-        cfg.problem()
 
 
 # --- every profile, table-driven ---------------------------------------------

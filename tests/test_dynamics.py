@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from achns import dynamics
-from achns.anisotropy import quadratic_form, taylor_cahn
+from achns.anisotropy import quadratic_form, taylor_cahn_matrix
 from achns.basis import Jet, TorusGrid, vdot
 from achns.config import parse_config
 from achns.dynamics import (
@@ -116,7 +116,7 @@ def test_problem_validation():
     laws = MaterialLaws(0.1, 0.1, 0.01, 0.01)
     rho = ConstantDensity(1.0)
     with pytest.raises(DomainError):
-        Problem(grid, taylor_cahn(0.0, 0.5), spec, laws, rho)
+        Problem(grid, taylor_cahn_matrix(0.5), spec, laws, rho)
     with pytest.raises(DomainError):
         Problem(grid, quadratic_form([[1.0, 2.0], [2.0, 1.0]]), spec, laws, rho)
     with pytest.raises(DomainError):
