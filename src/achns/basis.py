@@ -71,11 +71,11 @@ class TorusGrid:
 
     # --- wavenumbers ----------------------------------------------------
 
-    @property
+    @cached_property
     def cutoff(self):
         return (self.n_grid[0] - 1) // 3, (self.n_grid[1] - 1) // 3
 
-    @property
+    @cached_property
     def band_shape(self):
         """Shape (2 K1 + 1, K2 + 1) of one field's coefficient array."""
         kc1, kc2 = self.cutoff
@@ -86,6 +86,11 @@ class TorusGrid:
         """Integer wavenumbers of the band's rows, 0..K1, -K1..-1."""
         kc1 = self.cutoff[0]
         return np.concatenate([np.arange(kc1 + 1), np.arange(-kc1, 0)])
+
+    @cached_property
+    def _spectrum_rows(self):
+        """Rows of the full spectrum, k1 mod N1, that hold the band's rows."""
+        return self.k1_int % self.n_grid[0]
 
     @cached_property
     def k1(self):
@@ -142,7 +147,7 @@ class TorusGrid:
         values = np.asarray(values)
         self._check_shape(values, self.n_grid, "field")
         kc1, kc2 = self.cutoff
-        out = scipy.fft.rfft2(values, norm="forward")[..., self.k1_int % self.n_grid[0], :kc2 + 1]
+        out = scipy.fft.rfft2(values, norm="forward")[..., self._spectrum_rows, :kc2 + 1]
         out[..., kc1 + 1:, 0] = np.conj(out[..., kc1:0:-1, 0])
         return out
 
@@ -308,19 +313,23 @@ class TorusGrid:
     def _eval_taylor(self, jet, nodes, delta, order):
         """Taylor sum about the nearest nodes, over a + b <= order, of
         delta1^a delta2^b d1^a d2^b f / (a! b!) for a jet (or coefficients)
-        of fields (m, 2K1+1, K2+1), term by term in degree-major order."""
+        of fields (m, 2K1+1, K2+1), term by term in degree-major order.
+        Nodes that are the grid points in grid order, such as the feet of
+        one short step, read the jet's fields in place of a gather."""
         jet = jet if isinstance(jet, Jet) else Jet(self, jet)
         if order > jet.order:
             jet.extend(order)
         n1, n2 = self.n_grid
         idx = (nodes[:, 0].astype(np.int64) % n1) * n2 + nodes[:, 1].astype(np.int64) % n2
+        in_place = len(idx) == n1 * n2 and np.array_equal(idx, np.arange(n1 * n2))
         p1, p2 = _powers(delta[:, 0], order), _powers(delta[:, 1], order)
         out = np.zeros((jet.fields[0].shape[1], len(idx)))
         term, mono = np.empty_like(out), np.empty(len(idx))
         for d in range(order + 1):
             for a in range(d + 1):
-                np.take(jet.fields[d][a], idx, axis=-1, out=term, mode="clip")
-                term *= np.multiply(p1[a], p2[d - a], out=mono)
+                f = jet.fields[d][a]
+                f = f if in_place else np.take(f, idx, axis=-1, out=term, mode="clip")
+                np.multiply(f, np.multiply(p1[a], p2[d - a], out=mono), out=term)
                 out += term
         return out
 
@@ -377,7 +386,8 @@ class Jet:
     def extend(self, order):
         """Build the fields of the degrees above self.order up to order:
         one FFT along axis 0 per power a, one real inverse FFT along axis
-        1 per degree."""
+        1 per degree, of products written into a fresh array already
+        zero-padded to N2/2+1 columns, so the FFT makes no padded copy."""
         g = self.grid
         (n1, n2), kc2 = g.n_grid, g.cutoff[1]
         band = self.coef.reshape((-1,) + g.band_shape)
@@ -388,8 +398,10 @@ class Jet:
         for d in range(self.order + 1, order + 1):
             self._parts.append(scipy.fft.ifft(g._pad(sym1[d] * band, kc2 + 1), axis=-2,
                                               norm="forward"))
-            fields = scipy.fft.irfft(np.stack(self._parts) * sym2[d::-1][:, None], n=n2,
-                                     axis=-1, norm="forward")
+            spec = np.zeros((d + 1,) + self._parts[0].shape[:-1] + (n2 // 2 + 1,), dtype=complex)
+            for a, part in enumerate(self._parts):
+                np.multiply(part, sym2[d - a], out=spec[a, ..., :kc2 + 1])
+            fields = scipy.fft.irfft(spec, n=n2, axis=-1, norm="forward")
             self.fields.append(fields.reshape(fields.shape[:2] + (n1 * n2,)))
         self.order = max(self.order, order)
 

@@ -299,20 +299,20 @@ def _assemble(problem, state, frozen, start):
     mass solves, or a derivative pair to start them from."""
     grid, laws = problem.grid, problem.laws
     rho_vals, u, phi = state.rho.values, state.u, state.phi
-    ug = grid.to_grid(u)
-    phig = grid.to_grid(phi)
-    gphi_vals = grid.to_grid(grid.grad(phi))
+    # every band field on the grid by one transform: 12 fields, 17 linearized
+    bands = [u, phi, grid.grad(phi), state.mu, grid.grad(u), grid.grad(state.mu)]
+    if frozen is not None:
+        bands += [frozen[0], frozen[1], grid.grad(frozen[1])]
+    vals = grid.to_grid(np.concatenate([b.reshape((-1,) + grid.band_shape) for b in bands]))
+    ug, phig, gphi_vals, mug, gmu_vals = vals[:2], vals[2], vals[3:5], vals[5], vals[10:12]
     if frozen is None:
         advg, lawg, gfrozen_vals = ug, phig, gphi_vals
     else:
-        advg = grid.to_grid(frozen[0])
-        lawg = grid.to_grid(frozen[1])
-        gfrozen_vals = grid.to_grid(grid.grad(frozen[1]))
-    mug = grid.to_grid(state.mu)
+        advg, lawg, gfrozen_vals = vals[12:14], vals[14], vals[15:17]
     du0, dphi0 = (None, None) if start is None else start
 
     # du[i, j] = d_j u_i; the stress is symmetric bit for bit, so div may contract either index
-    du = grid.to_grid(grid.grad(u))
+    du = vals[6:10].reshape((2, 2) + grid.n_grid)
     stress = laws.nu(lawg) * (du + du.swapaxes(0, 1))
     conv = rho_vals * (advg[0] * du[:, 0] + advg[1] * du[:, 1])
     force = rho_vals * (mug * gfrozen_vals - f_eps_prime(problem.spec, phig) * gphi_vals)
@@ -320,7 +320,6 @@ def _assemble(problem, state, frozen, start):
     b_u = -coef[4:6] + grid.div(coef[:4].reshape((2, 2) + grid.band_shape)) + coef[6:]
     dudt = _mass_solve(grid, problem.project_u, rho_vals, b_u, du0, "velocity")
 
-    gmu_vals = grid.to_grid(grid.grad(state.mu))
     conv_phi = rho_vals * (ug[0] * gfrozen_vals[0] + ug[1] * gfrozen_vals[1])
     coef = grid.to_spectral(np.concatenate([laws.mobility(lawg) * gmu_vals, conv_phi[None]]))
     b_phi = -coef[2] + grid.div(coef[:2])

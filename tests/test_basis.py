@@ -475,6 +475,37 @@ def test_jet_evaluations_equal_fresh_calls_bitwise(n, stacked, ascending):
     assert jet.order == orders[-1]
 
 
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_eval_at_on_nodes_in_grid_order_reads_the_jet_in_place(monkeypatch, n, stacked):
+    # feet of one step keep every grid point as its own node, in grid
+    # order; the same points permuted need the gather, and give the same
+    # values bit for bit
+    rng = np.random.default_rng(n + 1)
+    grid = TorusGrid((2 * np.pi, 4 * np.pi), (n, n))
+    coef = _band_coef(grid, rng)
+    if stacked:
+        coef = np.stack([coef, _band_coef(grid, rng)])
+    mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
+    pts = mesh + rng.uniform(-1e-4, 1e-4, mesh.shape)
+    perm = rng.permutation(len(pts))
+    assert grid._plan(pts)[2] is not None
+    take, gathers = np.take, []
+
+    def counted(*args, **kwargs):
+        gathers.append(1)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counted)
+    in_place = grid.eval_at(coef, pts)
+    assert gathers == []
+    gathered = grid.eval_at(coef, pts[perm])
+    assert gathers
+    np.testing.assert_array_equal(in_place[..., perm], gathered)
+    assert _relative_gap(in_place, grid._eval_dense(coef.reshape((-1,) + grid.band_shape), pts)
+                         .reshape(in_place.shape)) <= 1e-13
+
+
 def test_shape_mismatch_raises():
     grid = make_grid(16)
     with pytest.raises(DimensionError):

@@ -489,6 +489,31 @@ def test_each_right_hand_side_makes_two_forward_transforms(monkeypatch, lineariz
     assert calls == [(8,) + g.n_grid, (3,) + g.n_grid]
 
 
+@pytest.mark.parametrize("linearized", [False, True])
+def test_each_right_hand_side_makes_one_inverse_transform(monkeypatch, linearized):
+    # with the mass solves stubbed out, every band field the assembly
+    # reads (u, phi, mu and their gradients; the frozen u~, phi~ and
+    # grad phi~ of the linearized system) goes to the grid in one call
+    prob = make_problem()
+    g = prob.grid
+    state = make_state(prob, u_taylor_green(g, 0.3),
+                       phi_band_random(g, seed=5, kmax=2, amplitude=0.4, mean=-0.05))
+    to_grid = TorusGrid.to_grid
+    calls = []
+
+    def counted(self, coef):
+        calls.append(np.shape(coef))
+        return to_grid(self, coef)
+
+    monkeypatch.setattr(dynamics, "_cg", lambda apply_a, b, x0, rtol, label: b)
+    monkeypatch.setattr(TorusGrid, "to_grid", counted)
+    if linearized:
+        linearized_rhs(prob, state, state.u, state.phi)
+    else:
+        rhs(prob, state)
+    assert calls == [((17,) if linearized else (12,)) + g.band_shape]
+
+
 def test_mass_solve_projects_b_and_uses_a_given_start_as_it_is(monkeypatch):
     prob = make_problem(n_modes_u=9, n_modes_phi=13)
     g = prob.grid
