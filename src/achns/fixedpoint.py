@@ -115,14 +115,16 @@ def constant_pair(grid: TorusGrid, u, phi, dt: float, n_steps: int) -> FrozenPai
 
 @dataclass(frozen=True)
 class LambdaTrajectory:
-    """Output of one application of the frozen-coefficient map."""
+    """Output of one application of the frozen-coefficient map; evals
+    holds each step's `rk4_step` evaluations, to seed the next map."""
 
     pair: FrozenPair
     states: list
+    evals: list = field(repr=False)
 
 
 def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
-               cfg: StepperConfig, deriv0=None) -> LambdaTrajectory:
+               cfg: StepperConfig, deriv0=None, seeds=None) -> LambdaTrajectory:
     """Integrate the linearized system driven by the frozen pair from
     the start state, at the pair's own step; cfg supplies only the
     stability policy.
@@ -133,7 +135,9 @@ def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
     frozen pair. Each step is one `rk4_step`, whose end slope is both
     the sample's slope and the next step's k1. The first k1 is deriv0
     when given, the linearized derivative pair at the start state under
-    the pair's first samples, and is evaluated here otherwise.
+    the pair's first samples, and is evaluated here otherwise. seeds, the
+    evals of an earlier map from the same state at the same step, start
+    each step's solves from their matches (`rk4_step`), emptied as used.
     """
     if state.t != 0.0:
         raise DomainError("the start state must sit at t=0, where the frozen pair starts")
@@ -143,16 +147,18 @@ def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
                                                           frozen.phi[0])
     us, dus = [state.u], [k1[0]]
     phis, dphis = [state.phi], [k1[1]]
-    states = [state]
+    states, evals = [state], []
     for k in range(frozen.n_steps):
         urec, prec = frozen.records(k)
         # the density rides the frozen velocity; every evaluation sees
         # the frozen pair's cubic models at its own time
-        state, k1, _ = rk4_step(
+        state, k1, step_evals = rk4_step(
             problem, state, h, k1, urec,
             lambda st, start: linearized_rhs(problem, st, urec.coef_at(st.t), prec.coef_at(st.t),
                                              start=start),
+            None if seeds is None else seeds[k],
         )
+        evals.append(step_evals)
         us.append(state.u)
         dus.append(k1[0])
         phis.append(state.phi)
@@ -160,7 +166,7 @@ def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
         states.append(state)
 
     pair = FrozenPair(problem.grid, h, np.stack(us), np.stack(dus), np.stack(phis), np.stack(dphis))
-    return LambdaTrajectory(pair, states)
+    return LambdaTrajectory(pair, states, evals)
 
 
 def residual_r_eps(grid: TorusGrid, state: FlowState, u_tilde, spec: PotentialSpec) -> float:
@@ -234,9 +240,11 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     traj = deriv0 = None
     converged = False
     for _ in range(max_iter):
-        traj = lambda_map(problem, frozen, state0, cfg, deriv0)
+        traj = lambda_map(problem, frozen, state0, cfg, deriv0,
+                          None if traj is None else traj.evals)
         # every pair starts at state0's u and phi, so every map's first
-        # derivative pair is the first map's
+        # derivative pair is the first map's; the next map's evaluations
+        # start from this one's
         deriv0 = traj.pair.du[0], traj.pair.dphi[0]
         dist = trajectory_distance(g, traj.pair, frozen)
         r_worst = max(

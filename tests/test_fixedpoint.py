@@ -360,6 +360,44 @@ def test_picard_report_shape(demo16):
     assert rep.states[-1].t == pytest.approx(0.05)
 
 
+def _picard_applications_per_map(monkeypatch, seeded):
+    """A 16^2 Picard run with _cg counting operator applications and
+    each map's count kept apart, after that of the initial potential;
+    unseeded, every map drops its seeds."""
+    pb = make_problem()
+    g = pb.grid
+    cg, lam = dynamics._cg, fixedpoint.lambda_map
+    per_map = [0]
+
+    def counted_cg(apply_a, b, x0, rtol, label):
+        def counted(w):
+            per_map[-1] += 1
+            return apply_a(w)
+        return cg(counted, b, x0, rtol, label)
+
+    def counted_map(problem, frozen, state, cfg, deriv0=None, seeds=None):
+        per_map.append(0)
+        return lam(problem, frozen, state, cfg, deriv0, seeds if seeded else None)
+
+    monkeypatch.setattr(dynamics, "_cg", counted_cg)
+    monkeypatch.setattr(fixedpoint, "lambda_map", counted_map)
+    rep = picard(pb, u_taylor_green(g, 0.3),
+                 phi_band_random(g, seed=42, kmax=2, amplitude=0.5, mean=-0.05),
+                 StepperConfig(dt=2.5e-3, t_end=0.0), t_tilde=0.02, tol=1e-9)
+    return rep, per_map[1:]
+
+
+def test_picard_seeds_each_map_from_the_one_before(monkeypatch):
+    rep, per_map = _picard_applications_per_map(monkeypatch, seeded=True)
+    cold, cold_per_map = _picard_applications_per_map(monkeypatch, seeded=False)
+    assert rep.converged and cold.converged
+    assert rep.iterations == cold.iterations >= 4
+    assert per_map[0] == cold_per_map[0]
+    assert all(n < per_map[0] for n in per_map[2:]), (per_map, cold_per_map)
+    # the seeds move the trajectories only within the solver tolerance
+    assert trajectory_distance(rep.trajectory.grid, rep.trajectory, cold.trajectory) <= 1e-11
+
+
 def test_picard_nonconvergence_is_reported():
     pb = make_problem()
     g = pb.grid
