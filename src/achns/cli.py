@@ -113,6 +113,9 @@ def _cmd_check_anisotropy(args) -> int:
 # --- potential-table ---------------------------------------------------------
 
 def _cmd_potential_table(args) -> int:
+    for flag, val in (("--from", args.lo), ("--to", args.hi)):
+        if not math.isfinite(val):
+            raise DomainError(f"{flag} must be finite, got {val}")
     if args.points < 2:
         raise DomainError("--points must be at least 2")
     if not args.hi > args.lo:

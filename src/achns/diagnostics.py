@@ -228,12 +228,12 @@ class BihariBound:
 
 def bihari_horizon(c1: float, g0: float, y0: float) -> BihariBound:
     """Guaranteed-existence horizon for the quadratic growth inequality."""
-    if not c1 > 0:
-        raise DomainError("c1 must be positive")
-    if not y0 > 0:
-        raise DomainError("y0 must be positive")
-    if g0 < 0:
-        raise DomainError("g0 must be nonnegative")
+    if not 0 < c1 < math.inf:
+        raise DomainError(f"c1 must be positive and finite, got {c1}")
+    if not 0 < y0 < math.inf:
+        raise DomainError(f"y0 must be positive and finite, got {y0}")
+    if not 0 <= g0 < math.inf:
+        raise DomainError(f"g0 must be nonnegative and finite, got {g0}")
     b = c1 * y0
     # positive root of c1 g0 T^2 + c1 y0 T - 1, rationalized so g0 -> 0
     # degenerates smoothly to 1/(c1 y0)

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ def test_potential_table_bad_range(capsys):
                  "--points", "1"]) == 1
 
 
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--from", "nan", "--to", "1"], "--from"),
+    (["--from=-inf", "--to", "1"], "--from"),
+    (["--from", "0", "--to", "inf"], "--to"),
+])
+def test_potential_table_refuses_a_non_finite_bound(capsys, argv, flag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["potential-table", *argv, "--points", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {flag} must be finite, got ")
+
+
 # --- fixedpoint ------------------------------------------------------------
 
 def test_fixedpoint_converges(tiny_cfg, capsys):
@@ -215,6 +231,19 @@ def test_bihari_check(capsys):
 
 def test_bihari_bad_args(capsys):
     assert main(["bihari", "--c1", "-1", "--g0", "0", "--y0", "1"]) == 1
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--c1", "1", "--g0", "1", "--y0", "inf"], "y0"),
+    (["--c1", "1", "--g0", "inf", "--y0", "1"], "g0"),
+    (["--c1", "1", "--g0", "nan", "--y0", "1"], "g0"),
+    (["--c1", "nan", "--g0", "1", "--y0", "1"], "c1"),
+])
+def test_bihari_refuses_non_finite_arguments(capsys, flags, name):
+    assert main(["bihari", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {name} must be ") and "finite" in err
 
 
 def test_bihari_negative_check_count_is_a_config_error(capsys):

@@ -328,6 +328,16 @@ def test_bihari_validation():
         bihari_horizon(1.0, -0.1, 1.0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 1.0, 1.0), "c1"), ((math.inf, 1.0, 1.0), "c1"),
+    ((1.0, 1.0, math.inf), "y0"), ((1.0, 1.0, math.nan), "y0"),
+    ((1.0, math.inf, 1.0), "g0"), ((1.0, math.nan, 1.0), "g0"),
+])
+def test_bihari_horizon_refuses_non_finite_arguments(args, name):
+    with pytest.raises(DomainError, match=f"^{name} must be (positive|nonnegative) and finite, got"):
+        bihari_horizon(*args)
+
+
 def test_bihari_bound_evaluation():
     b = bihari_horizon(2.0, 0.5, 1.5)
     assert bihari_bound_at(b, 0.0) == pytest.approx(1.5, rel=1e-15)
