@@ -313,9 +313,8 @@ class TorusGrid:
     def _eval_taylor(self, jet, nodes, delta, order):
         """Taylor sum about the nearest nodes, over a + b <= order, of
         delta1^a delta2^b d1^a d2^b f / (a! b!) for a jet (or coefficients)
-        of fields (m, 2K1+1, K2+1), term by term in degree-major order.
-        Nodes that are the grid points in grid order, such as the feet of
-        one short step, read the jet's fields in place of a gather."""
+        of fields (m, 2K1+1, K2+1), term by term in degree-major order,
+        reading the fields in place when the nodes are the grid in order."""
         jet = jet if isinstance(jet, Jet) else Jet(self, jet)
         if order > jet.order:
             jet.extend(order)

@@ -115,8 +115,7 @@ def constant_pair(grid: TorusGrid, u, phi, dt: float, n_steps: int) -> FrozenPai
 
 @dataclass(frozen=True)
 class LambdaTrajectory:
-    """Output of one application of the frozen-coefficient map; evals
-    holds each step's `rk4_step` evaluations, to seed the next map."""
+    """Output of one application of the frozen-coefficient map; evals seed the next."""
 
     pair: FrozenPair
     states: list
@@ -237,15 +236,13 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     frozen = constant_pair(g, state0.u, state0.phi, cfg.dt, n_steps)
     distances = []
     r_history = []
-    traj = deriv0 = None
+    traj = deriv0 = seeds = None
     converged = False
     for _ in range(max_iter):
-        traj = lambda_map(problem, frozen, state0, cfg, deriv0,
-                          None if traj is None else traj.evals)
+        traj = lambda_map(problem, frozen, state0, cfg, deriv0, seeds)
         # every pair starts at state0's u and phi, so every map's first
-        # derivative pair is the first map's; the next map's evaluations
-        # start from this one's
-        deriv0 = traj.pair.du[0], traj.pair.dphi[0]
+        # derivative pair is the first map's; its evaluations seed the next
+        deriv0, seeds = (traj.pair.du[0], traj.pair.dphi[0]), traj.evals
         dist = trajectory_distance(g, traj.pair, frozen)
         r_worst = max(
             abs(residual_r_eps(g, st, frozen.u[k], problem.spec))
