@@ -371,8 +371,9 @@ def rk4_step(problem: Problem, state: FlowState, h: float, k1, velocity: StepRec
     (du/dt, dphi/dt)) of the previous one, the first from (state.mu, k1);
     or from its match in seeds, the evals of an earlier pass of the same
     step (or of the same step of an earlier Picard map), each popped as it
-    is used so two passes' evaluations never pile up. Returns (end_state, end_slope, evals), evals holding the
-    (mu, (du/dt, dphi/dt)) of the four evaluations in order.
+    is used so two passes' evaluations never pile up. Returns (end_state,
+    end_slope, evals), evals holding the (mu, (du/dt, dphi/dt)) of the
+    four evaluations in order.
     """
     g = problem.grid
     t = state.t
