@@ -32,7 +32,6 @@ from .profiles import (
     u_taylor_green,
     u_zero,
 )
-from .transport import mollify_initial_density
 
 TWO_PI = 2.0 * np.pi
 
@@ -104,8 +103,7 @@ _SCHEMA = {
                     "extra_modes": (_pmodes, [(10, -10, 2e-9, 0.0)])},
     "initial_u": {"profile": (_pstr, "taylor_green"), "amplitude": (_pfloat, 0.3),
                   "seed": (_pint, None), "kmax": (_pint, None)},
-    "time": {"dt": (_pfloat, 4e-3), "t_end": (_pfloat, 1.0),
-             "stability_safety": (_pfloat, 1.0), "allow_unstable_dt": (_pbool, False),
+    "time": {"dt": (_pfloat, 4e-3), "t_end": (_pfloat, 1.0), "allow_unstable_dt": (_pbool, False),
              "n_modes_u": (_pint, None), "n_modes_phi": (_pint, None)},
     "output": {"directory": (_pstr, "out"), "cadence": (_pint, 1),
                "snapshots": (_pstr, "final")},
@@ -160,7 +158,6 @@ class RunConfig:
     u_init: dict
     dt: float
     t_end: float
-    stability_safety: float
     allow_unstable_dt: bool
     n_modes_u: int | None
     n_modes_phi: int | None
@@ -176,9 +173,7 @@ class RunConfig:
                        self.n_modes_u, self.n_modes_phi)
 
     def stepper(self) -> StepperConfig:
-        return StepperConfig(dt=self.dt, t_end=self.t_end,
-                             stability_safety=self.stability_safety,
-                             allow_unstable_dt=self.allow_unstable_dt)
+        return StepperConfig(dt=self.dt, t_end=self.t_end, allow_unstable_dt=self.allow_unstable_dt)
 
     def initial_fields(self, grid: TorusGrid):
         phi0 = _build("initial_phi", self.phi_init, grid)
@@ -267,13 +262,24 @@ def _read_profile(view, section):
     return values
 
 
+def _checked(view, section, make, *args):
+    """make(*args), with a DimensionError or DomainError it raises
+    turned into a ConfigError at the section's first line."""
+    try:
+        return make(*args)
+    except (DimensionError, DomainError) as exc:
+        raise ConfigError(str(exc), view.section_line(section, 0)) from exc
+
+
 def _build_density(view, lengths):
     values, first = _read_profile(view, "density"), view.section_line("density", 0)
-    try:
-        rho0 = mollify_initial_density(_build("density", values, lengths),
-                                       view.get("density", "mollify_width"))
-    except DomainError as exc:
-        raise ConfigError(str(exc), first) from exc
+    rho0 = _checked(view, "density", _build, "density", values, lengths)
+    width = view.get("density", "mollify_width")
+    if width < 0:
+        raise ConfigError("mollification width must be nonnegative", first)
+    # width 0 keeps the profile: a blob's amplitude a w^2 / w^2 need not round to a
+    if width > 0:
+        rho0 = _checked(view, "density", rho0.mollified, width)
     if not rho0.bounds[0] > 0:
         raise ConfigError(f"density lower bound {rho0.bounds[0]:.6g} is not positive", first)
     return rho0
@@ -286,10 +292,7 @@ def parse_config(text: str) -> RunConfig:
 
     lengths = (view.get("domain", "l1"), view.get("domain", "l2"))
     n_grid = (view.get("domain", "n1"), view.get("domain", "n2"))
-    try:
-        grid = TorusGrid(lengths, n_grid)
-    except (DimensionError, DomainError) as exc:
-        raise ConfigError(str(exc), view.section_line("domain", 0)) from exc
+    grid = _checked(view, "domain", TorusGrid, lengths, n_grid)
 
     m11 = view.get("anisotropy", "m11")
     m12 = view.get("anisotropy", "m12")
@@ -305,10 +308,7 @@ def parse_config(text: str) -> RunConfig:
     lam1 = view.get("potential", "lambda1")
     lam2 = view.get("potential", "lambda2")
     eps = view.get("potential", "eps")
-    try:
-        spec = PotentialSpec(lam1, lam2, eps)
-    except DomainError as exc:
-        raise ConfigError(str(exc), view.section_line("potential", 0)) from exc
+    spec = _checked(view, "potential", PotentialSpec, lam1, lam2, eps)
     if not validate_eps(spec):
         thr = eps_threshold(lam1, lam2)
         raise ConfigError(
@@ -317,27 +317,16 @@ def parse_config(text: str) -> RunConfig:
             view.line("potential", "eps", view.section_line("potential", 0)),
         )
 
-    try:
-        laws = MaterialLaws(
-            view.get("material", "nu_minus"), view.get("material", "nu_plus"),
-            view.get("material", "d_minus"), view.get("material", "d_plus"),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc), view.section_line("material", 0)) from exc
+    laws = _checked(view, "material", MaterialLaws,
+                    view.get("material", "nu_minus"), view.get("material", "nu_plus"),
+                    view.get("material", "d_minus"), view.get("material", "d_plus"))
 
     rho0 = _build_density(view, lengths)
     phi_init = _read_profile(view, "initial_phi")
     u_init = _read_profile(view, "initial_u")
 
-    try:
-        stepper = StepperConfig(
-            dt=view.get("time", "dt"),
-            t_end=view.get("time", "t_end"),
-            stability_safety=view.get("time", "stability_safety"),
-            allow_unstable_dt=view.get("time", "allow_unstable_dt"),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc), view.section_line("time", 0)) from exc
+    stepper = _checked(view, "time", StepperConfig, view.get("time", "dt"),
+                       view.get("time", "t_end"), view.get("time", "allow_unstable_dt"))
     for key in ("n_modes_u", "n_modes_phi"):
         try:
             grid.check_mode_count(view.get("time", key))
@@ -357,9 +346,7 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         lengths=lengths, n_grid=n_grid, model=model, spec=spec, laws=laws,
         rho0=rho0, phi_init=phi_init, u_init=u_init,
-        dt=stepper.dt, t_end=stepper.t_end,
-        stability_safety=stepper.stability_safety,
-        allow_unstable_dt=stepper.allow_unstable_dt,
+        dt=stepper.dt, t_end=stepper.t_end, allow_unstable_dt=stepper.allow_unstable_dt,
         n_modes_u=view.get("time", "n_modes_u"), n_modes_phi=view.get("time", "n_modes_phi"),
         out_dir=view.get("output", "directory"), cadence=cadence,
         snapshots=snapshots,

@@ -78,7 +78,6 @@ class MaterialLaws:
 class StepperConfig:
     dt: float
     t_end: float
-    stability_safety: float = 1.0
     allow_unstable_dt: bool = False
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class StepperConfig:
             raise DomainError("dt must be positive")
         if self.t_end < 0:
             raise DomainError("t_end must be nonnegative")
-        if not 0 < self.stability_safety <= 1:
-            raise DomainError("stability_safety must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -164,13 +161,11 @@ def stability_bound(problem: Problem) -> float:
 
 
 def check_dt(problem: Problem, cfg: StepperConfig, h: float):
-    """Refuse a step h above stability_safety times the stability bound,
-    unless the configuration allows unstable steps."""
+    """Refuse a step h above the stability bound, unless the
+    configuration allows unstable steps."""
     bound = stability_bound(problem)
-    if h > cfg.stability_safety * bound + 1e-15 and not cfg.allow_unstable_dt:
-        raise StabilityError(
-            f"dt={h} exceeds stability_safety*bound={cfg.stability_safety * bound:.6g}"
-        )
+    if h > bound + 1e-15 and not cfg.allow_unstable_dt:
+        raise StabilityError(f"dt={h} exceeds the stability bound {bound:.6g}")
 
 
 # --- linear solves -----------------------------------------------------------

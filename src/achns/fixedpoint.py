@@ -144,9 +144,7 @@ def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
     check_dt(problem, cfg, h)
     k1 = deriv0 if deriv0 is not None else linearized_rhs(problem, state, frozen.u[0],
                                                           frozen.phi[0])
-    us, dus = [state.u], [k1[0]]
-    phis, dphis = [state.phi], [k1[1]]
-    states, evals = [state], []
+    states, slopes, evals = [state], [k1], []
     for k in range(frozen.n_steps):
         urec, prec = frozen.records(k)
         # the density rides the frozen velocity; every evaluation sees
@@ -158,13 +156,12 @@ def lambda_map(problem: Problem, frozen: FrozenPair, state: FlowState,
             None if seeds is None else seeds[k],
         )
         evals.append(step_evals)
-        us.append(state.u)
-        dus.append(k1[0])
-        phis.append(state.phi)
-        dphis.append(k1[1])
         states.append(state)
+        slopes.append(k1)
 
-    pair = FrozenPair(problem.grid, h, np.stack(us), np.stack(dus), np.stack(phis), np.stack(dphis))
+    pair = FrozenPair(problem.grid, h, np.stack([s.u for s in states]),
+                      np.stack([k[0] for k in slopes]), np.stack([s.phi for s in states]),
+                      np.stack([k[1] for k in slopes]))
     return LambdaTrajectory(pair, states, evals)
 
 
@@ -219,10 +216,12 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     extension of the initial data until successive trajectories agree
     to tol (sup-in-time L2 + H1) and the transport remainder falls
     below tol_r (default: 1e-8 times the initial energy)."""
-    if not t_tilde > 0:
-        raise DomainError("horizon must be positive")
+    if not 0 < t_tilde < np.inf:
+        raise DomainError(f"horizon must be positive and finite, got {t_tilde}")
     if not tol > 0:
         raise DomainError("tol must be positive")
+    if tol_r is not None and not tol_r >= 0:
+        raise DomainError(f"tol_r must be nonnegative, got {tol_r}")
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
     n_steps = int(round(t_tilde / cfg.dt))

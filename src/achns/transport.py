@@ -33,20 +33,8 @@ class DensityField:
         if self.lo > self.hi:
             raise DomainError("density bounds out of order")
         v = self.values
-        if v.min() < self.lo - 1e-12 or v.max() > self.hi + 1e-12:
+        if not (v.min() >= self.lo - 1e-12 and v.max() <= self.hi + 1e-12):
             raise DomainError("density values violate the carried bounds")
-
-
-def hermite_power_coefs(dt: float, y0, dy0, y1, dy1) -> np.ndarray:
-    """Power-basis coefficients (in s = (t - t0)/dt) of the cubic with
-    endpoint values y0, y1 and endpoint time-derivatives dy0, dy1."""
-    y0 = np.asarray(y0, dtype=complex)
-    y1 = np.asarray(y1, dtype=complex)
-    c1 = dt * np.asarray(dy0, dtype=complex)
-    d1 = dt * np.asarray(dy1, dtype=complex)
-    c2 = -3 * y0 - 2 * c1 + 3 * y1 - d1
-    c3 = 2 * y0 + c1 - 2 * y1 + d1
-    return np.stack([y0, c1, c2, c3])
 
 
 @dataclass(frozen=True)
@@ -63,7 +51,14 @@ class StepRecord:
 
     @classmethod
     def hermite(cls, t_start, dt, y0, dy0, y1, dy1):
-        return cls(t_start, dt, hermite_power_coefs(dt, y0, dy0, y1, dy1))
+        """The cubic with endpoint values y0, y1 and time-derivatives dy0, dy1."""
+        y0 = np.asarray(y0, dtype=complex)
+        y1 = np.asarray(y1, dtype=complex)
+        c1 = dt * np.asarray(dy0, dtype=complex)
+        d1 = dt * np.asarray(dy1, dtype=complex)
+        c2 = -3 * y0 - 2 * c1 + 3 * y1 - d1
+        c3 = 2 * y0 + c1 - 2 * y1 + d1
+        return cls(t_start, dt, np.stack([y0, c1, c2, c3]))
 
     def coef_at(self, tau: float) -> np.ndarray:
         s = (tau - self.t_start) / self.dt
@@ -96,16 +91,6 @@ def trace_points(grid: TorusGrid, record: StepRecord, pts, t_froms, t_to: float)
                 k.append(grid.eval_at(jet, pts + h * k[2]).T)
         del jet
     return [pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4) for h, (k1, k2, k3, k4) in zip(hs, ks)]
-
-
-def mollify_initial_density(rho0_raw, width: float):
-    """Gaussian mollification of an initial profile by its closed-form
-    `mollified`; width 0 is the identity."""
-    if width < 0:
-        raise DomainError("mollification width must be nonnegative")
-    if width == 0:
-        return rho0_raw
-    return rho0_raw.mollified(width)
 
 
 # --- displacement bookkeeping used by the time stepper -----------------------

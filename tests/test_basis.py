@@ -418,7 +418,7 @@ def test_eval_at_arbitrary_points_take_the_dense_path():
     np.testing.assert_array_equal(grid.eval_at(coef, pts), grid._eval_dense(coef, pts))
     # the remainder bound holds at any offset from the nodes, even where
     # the dense sum is cheaper
-    taylor = grid._eval_taylor(coef[None], nodes, delta, grid._taylor_order(delta))[0]
+    taylor = grid._eval_taylor(Jet(grid, coef[None]), nodes, delta, grid._taylor_order(delta))[0]
     assert _relative_gap(taylor, grid._eval_dense(coef, pts)) <= 1e-13
     # so far out that rounding breaks the split into node and offset, or
     # not finite (a blowing-up trace): dense as well

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from achns import dynamics, fixedpoint
+from achns import config, dynamics, fixedpoint
 from achns.anisotropy import quadratic_form
 from achns.basis import TorusGrid
 from achns.dynamics import FlowState, MaterialLaws, Problem, StepperConfig
@@ -77,3 +77,19 @@ def test_traced_step_and_lambda_map_record_every_layer(bench):
               "transport.compose_displacement", "transport.density_from_displacement"}
     assert layers | {"dynamics.rhs"} <= in_step
     assert layers | {"dynamics.linearized_rhs"} <= in_map
+
+
+@pytest.mark.parametrize("name", ["demo32", "contrast32", "grid128", "picard32"])
+def test_every_workload_config_loads_and_builds(bench, tmp_path, name):
+    # the configs perfbench writes go through load_config and every
+    # RunConfig constructor the workloads call
+    _, workloads = bench
+    case = workloads.prepare(workloads.WORKLOADS[name], seed=7)
+    path = tmp_path / "run.cfg"
+    path.write_text(case.text)
+    cfg = config.load_config(str(path))
+    grid = cfg.grid()
+    assert grid.n_grid == case.grid and cfg.dt == case.dt
+    assert isinstance(cfg.problem(), Problem) and isinstance(cfg.stepper(), StepperConfig)
+    u0, phi0 = cfg.initial_fields(grid)
+    assert u0.shape == (2,) + grid.n_grid and phi0.shape == grid.n_grid

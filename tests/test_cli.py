@@ -215,6 +215,18 @@ def test_fixedpoint_bad_horizon(tiny_cfg, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--t-tilde", "inf"], "horizon"),
+    (["--t-tilde", "0.008", "--tol-r", "nan"], "tol_r"),
+    (["--t-tilde", "0.008", "--tol-r", "-1"], "tol_r"),
+])
+def test_fixedpoint_refuses_a_horizon_or_tol_r_it_cannot_meet(tiny_cfg, capsys, flags, name):
+    assert main(["fixedpoint", "--config", tiny_cfg, "--tol", "1e-6", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {name} must be ") and "Traceback" not in err
+
+
 # --- bihari ------------------------------------------------------------------
 
 def test_bihari_exact(capsys):

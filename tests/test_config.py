@@ -52,7 +52,6 @@ amplitude = 0.3
 [time]
 dt = 0.004
 t_end = 1.0
-stability_safety = 1.0
 allow_unstable_dt = false
 
 [output]
@@ -225,6 +224,14 @@ def test_beta_is_not_a_key():
     assert "unknown key 'beta'" in str(err)
 
 
+def test_stability_safety_is_not_a_key():
+    # a step is refused above the stability bound itself; a smaller dt
+    # is the way to stay further below it
+    err = _err("[domain]\nn1 = 16\n[time]\ndt = 0.001\nstability_safety = 0.5\n")
+    assert err.line == 5
+    assert "unknown key 'stability_safety' in [time]" in str(err)
+
+
 def test_nonpositive_density_rejected():
     err = _err("[density]\nprofile = sinusoidal\nbase = 0.4\namplitude = 0.5\n")
     assert "non-positive" in str(err)
@@ -314,6 +321,24 @@ def test_mollify_width_damps_amplitude():
 def test_negative_mollify_width_rejected():
     err = _err("[density]\nmollify_width = -0.1\n")
     assert isinstance(err, ConfigError)
+
+
+def test_mollify_width_zero_keeps_the_profile_negative_is_refused_positive_smooths():
+    box = (2 * np.pi, 2 * np.pi)
+    sinusoidal = profiles.SinusoidalDensity(1.5, 0.5, box, 2, 1)
+    text = "[density]\nk1 = 2\nmollify_width = "
+    assert parse_config(text + "0\n").rho0 == sinusoidal
+    smooth = parse_config(text + "0.3\n").rho0
+    assert smooth.amplitude < 0.5 and smooth == sinusoidal.mollified(0.3)
+    # refused at the section's first line, as every [density] error is
+    err = _err("[domain]\nn1 = 16\n[density]\nk1 = 2\nmollify_width = -0.1\n")
+    assert str(err) == "line 4: mollification width must be nonnegative"
+    # width 0 never reaches mollified: for this blob a w^2 / w^2 rounds off a
+    blob = profiles.BlobDensity(1.0, 0.7, 0.3, (3.0, 3.0), box)
+    assert blob.mollified(0.0).amplitude != 0.7
+    cfg = parse_config("[density]\nprofile = blob\nbase = 1.0\namplitude = 0.7\nwidth = 0.3\n"
+                       "center1 = 3.0\ncenter2 = 3.0\nmollify_width = 0.0\n")
+    assert cfg.rho0 == blob
 
 
 def test_phi_modes_profile():

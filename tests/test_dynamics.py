@@ -104,10 +104,6 @@ def test_stepper_config_validation():
         StepperConfig(dt=0.0, t_end=1.0)
     with pytest.raises(DomainError):
         StepperConfig(dt=1e-3, t_end=-1.0)
-    with pytest.raises(DomainError):
-        StepperConfig(dt=1e-3, t_end=1.0, stability_safety=0.0)
-    with pytest.raises(DomainError):
-        StepperConfig(dt=1e-3, t_end=1.0, stability_safety=1.5)
 
 
 def test_problem_validation():

@@ -293,6 +293,22 @@ def test_picard_validation():
         picard(pb, u0, phi0, cfg, t_tilde=0.005, tol=1e-9, max_iter=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"t_tilde": np.inf}, "horizon must be positive and finite, got inf"),
+    ({"t_tilde": np.nan}, "horizon must be positive and finite, got nan"),
+    ({"tol_r": np.nan}, "tol_r must be nonnegative, got nan"),
+    ({"tol_r": -1.0}, "tol_r must be nonnegative, got -1.0"),
+])
+def test_picard_refuses_a_horizon_or_tol_r_it_cannot_meet(kwargs, message):
+    pb = make_problem(n=8, rho=ConstantDensity(1.0))
+    g = pb.grid
+    cfg = StepperConfig(dt=2.5e-3, t_end=0.0)
+    args = {"t_tilde": 0.005, "tol": 1e-9, **kwargs}
+    with pytest.raises(DomainError) as info:
+        picard(pb, u_zero(g), phi_constant(g, 0.1), cfg, **args)
+    assert str(info.value) == message
+
+
 def test_picard_equilibrium_converges_first_iteration():
     pb = make_problem(rho=ConstantDensity(1.3))
     g = pb.grid

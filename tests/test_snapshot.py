@@ -126,6 +126,17 @@ def test_restore_fields_round_trip(domain, truncate):
                     n_modes or grid.n_band_modes) == raw
 
 
+def test_restore_refuses_a_nan_density_entry(small_run):
+    _, grid, state = small_run
+    raw = bytearray(_dump(grid, state))
+    off = _HEADER.size + 8 * 17  # the density value at grid index 17
+    raw[off:off + 8] = np.array(np.nan, "<f8").tobytes()
+    snap = read_snapshot(io.BytesIO(bytes(raw)))
+    assert np.isnan(snap.rho_values).sum() == 1
+    with pytest.raises(DomainError, match="violate the carried bounds"):
+        restore_fields(snap, grid)
+
+
 def test_path_io(small_run, tmp_path):
     _, grid, state = small_run
     path = tmp_path / "state.bin"

@@ -14,7 +14,6 @@ from achns.transport import (
     StepRecord,
     compose_displacement,
     density_from_displacement,
-    mollify_initial_density,
     trace_points,
 )
 
@@ -175,14 +174,13 @@ def test_density_field_validation():
         DensityField(np.ones((4, 4)), 2.0, 1.0)
 
 
-def test_mollify_dispatch():
-    rho0 = SinusoidalDensity(1.5, 0.5, L, k1=2, k2=1)
-    assert mollify_initial_density(rho0, 0.0) is rho0
-    sm = mollify_initial_density(rho0, 0.3)
-    assert sm.amplitude < 0.5
-    assert sm == rho0.mollified(0.3)
-    with pytest.raises(DomainError):
-        mollify_initial_density(rho0, -0.1)
+def test_density_field_refuses_nan():
+    with pytest.raises(DomainError, match="violate the carried bounds"):
+        DensityField(np.full((8, 8), np.nan), 1.0, 2.0)
+    values = np.full((8, 8), 1.5)
+    values[3, 5] = np.nan
+    with pytest.raises(DomainError, match="violate the carried bounds"):
+        DensityField(values, 1.0, 2.0)
 
 
 def test_displacement_composition_matches_direct_trace():
