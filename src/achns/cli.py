@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
         snap_path = os.path.join(out_dir, "state_final.bin")
         write_snapshot(snap_path, grid, summary.final_state)
         print(f"snapshot: {snap_path}")
-    elif cfg.snapshots == "all" and snap_sink is not None:
+    elif cfg.snapshots == "all":
         print(f"snapshots: {snap_sink.count} files in {out_dir}")
     return 0
 
@@ -181,6 +181,8 @@ def _cmd_besov(args) -> int:
         sample_dt = args.sample_dt
     elif "t" in data.dtype.names:
         t = np.asarray(data["t"], dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise DomainError("time column has an empty or non-finite entry; pass --sample-dt")
         gaps = np.diff(t)
         if gaps.size == 0 or gaps.max() - gaps.min() > 1e-9 * max(gaps.max(), 1e-300):
             raise DomainError(
@@ -268,13 +270,13 @@ def _cmd_sweep(args) -> int:
         grid = cfg_e.grid()
         problem = cfg_e.problem()
         u0, phi0 = cfg_e.initial_fields(grid)
-        reports, first = [], []
+        reports, state0 = [], None
 
-        def sink(state, g=grid, laws=cfg_e.laws, model=cfg_e.model, s=spec,
-                 out=reports, first=first):
-            if not first:
-                first.append(state)
-            out.append(diagnostics.energy_report(g, state, laws, model, s))
+        def sink(state):
+            nonlocal state0
+            if state0 is None:
+                state0 = state
+            reports.append(diagnostics.energy_report(grid, state, cfg_e.laws, cfg_e.model, spec))
 
         run_integrator(problem, u0, phi0, cfg_e.stepper(), sinks=[sink])
         st0 = reports[0]
@@ -283,7 +285,6 @@ def _cmd_sweep(args) -> int:
         if e0_unreg is None:
             # unregularized initial energy: swap only the potential term;
             # the logarithmic well needs |phi| < 1, true for admissible data
-            state0 = first[0]
             phi_vals = grid.to_grid(state0.phi)
             e_pot_unreg = grid.quadrature(state0.rho.values * f_log(spec, phi_vals))
             e0_unreg = st0.e_kin + st0.e_surf + e_pot_unreg

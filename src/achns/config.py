@@ -95,8 +95,7 @@ _SCHEMA = {
     "density": {"profile": (_pstr, "sinusoidal"), "value": (_pfloat, None),
                 "base": (_pfloat, 1.5), "amplitude": (_pfloat, 0.5),
                 "k1": (_pint, 1), "k2": (_pint, 1), "width": (_pfloat, None),
-                "center1": (_pfloat, None), "center2": (_pfloat, None),
-                "mollify_width": (_pfloat, 0.0)},
+                "center1": (_pfloat, None), "center2": (_pfloat, None)},
     "initial_phi": {"profile": (_pstr, "band_random"), "value": (_pfloat, None),
                     "modes": (_pmodes, None), "seed": (_pint, 7), "kmax": (_pint, 2),
                     "amplitude": (_pfloat, 0.5), "mean": (_pfloat, -0.05),
@@ -248,9 +247,8 @@ def _read_profile(view, section):
         raise ConfigError(f"unknown {section} profile {profile!r} (choices: {choices})",
                           view.line(section, "profile", first))
     keys = _PROFILES[(section, profile)][0]
-    # only [density] has mollify_width, which applies to every profile
     given = {k for (s, k) in view.entries if s == section}
-    stray = sorted(given - {"profile", "mollify_width", *keys})
+    stray = sorted(given - {"profile", *keys})
     if stray:
         raise ConfigError(f"key {stray[0]!r} does not apply to {section} profile {profile!r}",
                           view.line(section, stray[0]))
@@ -269,20 +267,6 @@ def _checked(view, section, make, *args):
         return make(*args)
     except (DimensionError, DomainError) as exc:
         raise ConfigError(str(exc), view.section_line(section, 0)) from exc
-
-
-def _build_density(view, lengths):
-    values, first = _read_profile(view, "density"), view.section_line("density", 0)
-    rho0 = _checked(view, "density", _build, "density", values, lengths)
-    width = view.get("density", "mollify_width")
-    if width < 0:
-        raise ConfigError("mollification width must be nonnegative", first)
-    # width 0 keeps the profile: a blob's amplitude a w^2 / w^2 need not round to a
-    if width > 0:
-        rho0 = _checked(view, "density", rho0.mollified, width)
-    if not rho0.bounds[0] > 0:
-        raise ConfigError(f"density lower bound {rho0.bounds[0]:.6g} is not positive", first)
-    return rho0
 
 
 def parse_config(text: str) -> RunConfig:
@@ -321,7 +305,7 @@ def parse_config(text: str) -> RunConfig:
                     view.get("material", "nu_minus"), view.get("material", "nu_plus"),
                     view.get("material", "d_minus"), view.get("material", "d_plus"))
 
-    rho0 = _build_density(view, lengths)
+    rho0 = _checked(view, "density", _build, "density", _read_profile(view, "density"), lengths)
     phi_init = _read_profile(view, "initial_phi")
     u_init = _read_profile(view, "initial_u")
 

@@ -162,8 +162,8 @@ def _check_series(series, p, sample_dt):
         raise DomainError("time series needs at least 4 samples")
     if not np.all(np.isfinite(series)):
         raise DomainError("time series contains non-finite values")
-    if not sample_dt > 0:
-        raise DomainError("sample_dt must be positive")
+    if not 0 < sample_dt < math.inf:
+        raise DomainError(f"sample_dt must be positive and finite, got {sample_dt}")
     p = float(p)
     if p not in (2.0, math.inf):
         raise DomainError("only p=2 and p=inf are supported")

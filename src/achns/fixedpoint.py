@@ -12,6 +12,7 @@ fixed point and shows up as the only defect in the linearized energy
 law.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,6 +226,10 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
     n_steps = int(round(t_tilde / cfg.dt))
+    # constant_pair stacks n_steps + 1 samples, a count no array can exceed
+    if n_steps + 1 > sys.maxsize:
+        raise DomainError(f"horizon must be at most {sys.maxsize - 1} steps, got "
+                          f"t_tilde={t_tilde:g} / dt={cfg.dt:g} = {n_steps:.6g} steps")
     if n_steps < 1 or abs(n_steps * cfg.dt - t_tilde) > 1e-9 * max(cfg.dt, t_tilde):
         raise DomainError("horizon must be a positive integer multiple of dt")
     g = problem.grid

@@ -1,10 +1,9 @@
 """Analytic initial-data profiles.
 
 Density profiles are closed-form samplers: they can be evaluated at any
-point of the plane (periodically), carry exact range bounds, and know
-their own Gaussian mollification in closed form. That keeps the
-transported density inside the initial bounds by construction rather
-than by interpolation luck.
+point of the plane (periodically) and carry exact range bounds. That
+keeps the transported density inside the initial bounds by construction
+rather than by interpolation luck.
 
 Order-parameter and velocity profiles build collocation-grid fields.
 Randomized ones draw spectral coefficients in a grid-independent order
@@ -40,9 +39,6 @@ class ConstantDensity:
         pts = np.asarray(pts, dtype=float)
         return np.full(pts.shape[:-1], self.value)
 
-    def mollified(self, width):
-        return self
-
 
 @dataclass(frozen=True)
 class SinusoidalDensity:
@@ -71,12 +67,6 @@ class SinusoidalDensity:
         a = 2 * np.pi * self.k1 / self.lengths[0]
         b = 2 * np.pi * self.k2 / self.lengths[1]
         return self.base + self.amplitude * np.sin(a * pts[..., 0]) * np.cos(b * pts[..., 1])
-
-    def mollified(self, width):
-        a = 2 * np.pi * self.k1 / self.lengths[0]
-        b = 2 * np.pi * self.k2 / self.lengths[1]
-        damp = np.exp(-(a * a + b * b) * width * width / 2)
-        return SinusoidalDensity(self.base, self.amplitude * damp, self.lengths, self.k1, self.k2)
 
 
 _BLOB_IMAGES = 4
@@ -124,16 +114,6 @@ class BlobDensity:
         return self.base + self.amplitude * self._axis_sum(
             pts[..., 0] - self.center[0], self.lengths[0]
         ) * self._axis_sum(pts[..., 1] - self.center[1], self.lengths[1])
-
-    def mollified(self, width):
-        w2 = self.width**2 + width**2
-        return BlobDensity(
-            self.base,
-            self.amplitude * self.width**2 / w2,
-            float(np.sqrt(w2)),
-            self.center,
-            self.lengths,
-        )
 
 
 # --- spectral helpers for grid-valued profiles ------------------------------

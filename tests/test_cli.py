@@ -219,6 +219,7 @@ def test_fixedpoint_bad_horizon(tiny_cfg, capsys):
     (["--t-tilde", "inf"], "horizon"),
     (["--t-tilde", "0.008", "--tol-r", "nan"], "tol_r"),
     (["--t-tilde", "0.008", "--tol-r", "-1"], "tol_r"),
+    (["--t-tilde", "1e300"], "horizon"),
 ])
 def test_fixedpoint_refuses_a_horizon_or_tol_r_it_cannot_meet(tiny_cfg, capsys, flags, name):
     assert main(["fixedpoint", "--config", tiny_cfg, "--tol", "1e-6", *flags]) == 1
@@ -306,6 +307,20 @@ def test_besov_nonuniform_time(tmp_path, capsys):
     csv.write_text("t,value\n0,1\n0.1,2\n0.3,3\n0.4,4\n")
     assert main(["besov", str(csv), "--column", "value", "--p", "2"]) == 1
     assert "uniform" in capsys.readouterr().err
+    # an empty or overflowing time cell is named as such, with no numpy warning
+    for cell in ("", "1e400"):
+        csv.write_text(f"t,value\n0,1\n0.1,2\n{cell},3\n0.3,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["besov", str(csv), "--column", "value", "--p", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: time column has an empty or non-finite entry")
+    csv.write_text("t,value\n0,1\n0.1,2\n0.2,3\n0.3,4\n")
+    assert main(["besov", str(csv), "--column", "value", "--p", "2", "--sample-dt", "inf"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: sample_dt must be positive and finite, got inf\n"
 
 
 def test_besov_missing_column(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,60 +7,8 @@ from achns import profiles
 from achns.config import _PROFILES, _SCHEMA, load_config, parse_config
 from achns.errors import ConfigError
 
-DEMO_TEXT = """\
-# full spelling of the built-in defaults
-[domain]
-l1 = 6.283185307179586
-l2 = 6.283185307179586
-n1 = 32
-n2 = 32
-
-[anisotropy]
-m11 = 1.2
-m12 = -0.1
-m22 = 1.0
-
-[potential]
-lambda1 = 1.0
-lambda2 = 0.5
-eps = 0.1
-
-[material]
-nu_minus = 0.12
-nu_plus = 0.08
-d_minus = 0.0146
-d_plus = 0.0146
-
-[density]
-profile = sinusoidal
-base = 1.5
-amplitude = 0.5
-k1 = 1
-k2 = 1
-mollify_width = 0.0
-
-[initial_phi]
-profile = band_random
-seed = 7
-kmax = 2
-amplitude = 0.5
-mean = -0.05
-extra_modes = 10,-10,2e-9,0
-
-[initial_u]
-profile = taylor_green
-amplitude = 0.3
-
-[time]
-dt = 0.004
-t_end = 1.0
-allow_unstable_dt = false
-
-[output]
-directory = out
-cadence = 1
-snapshots = final
-"""
+DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "configs", "demo.cfg")
 
 
 def test_empty_config_is_valid():
@@ -74,8 +24,9 @@ def test_empty_config_is_valid():
 
 
 def test_full_spelling_matches_defaults():
+    # README: configs/demo.cfg spells out the built-in defaults
     a = parse_config("")
-    b = parse_config(DEMO_TEXT)
+    b = load_config(DEMO)
     assert a.n_grid == b.n_grid
     assert a.lengths == b.lengths
     assert np.array_equal(a.model.matrix, b.model.matrix)
@@ -301,44 +252,10 @@ def test_blob_density_profile():
     assert lo >= 1.0 - 1e-12 and hi <= 1.5 + 1e-12
 
 
-def test_mollify_width_damps_amplitude():
-    # every profile the config offers has a closed-form mollification
-    profiles = {
-        "constant": "value = 1.3\n",
-        "sinusoidal": "",
-        "blob": "base = 1.0\namplitude = 0.5\nwidth = 0.7\ncenter1 = 3.0\ncenter2 = 3.0\n",
-    }
-    for name, keys in profiles.items():
-        text = f"[density]\nprofile = {name}\n{keys}"
-        plain = parse_config(text)
-        smooth = parse_config(text + "mollify_width = 0.5\n")
-        assert smooth.rho0 == plain.rho0.mollified(0.5)
-        if name != "constant":
-            assert smooth.rho0.bounds[0] > plain.rho0.bounds[0]
-            assert smooth.rho0.bounds[1] < plain.rho0.bounds[1]
-
-
-def test_negative_mollify_width_rejected():
-    err = _err("[density]\nmollify_width = -0.1\n")
-    assert isinstance(err, ConfigError)
-
-
-def test_mollify_width_zero_keeps_the_profile_negative_is_refused_positive_smooths():
-    box = (2 * np.pi, 2 * np.pi)
-    sinusoidal = profiles.SinusoidalDensity(1.5, 0.5, box, 2, 1)
-    text = "[density]\nk1 = 2\nmollify_width = "
-    assert parse_config(text + "0\n").rho0 == sinusoidal
-    smooth = parse_config(text + "0.3\n").rho0
-    assert smooth.amplitude < 0.5 and smooth == sinusoidal.mollified(0.3)
-    # refused at the section's first line, as every [density] error is
-    err = _err("[domain]\nn1 = 16\n[density]\nk1 = 2\nmollify_width = -0.1\n")
-    assert str(err) == "line 4: mollification width must be nonnegative"
-    # width 0 never reaches mollified: for this blob a w^2 / w^2 rounds off a
-    blob = profiles.BlobDensity(1.0, 0.7, 0.3, (3.0, 3.0), box)
-    assert blob.mollified(0.0).amplitude != 0.7
-    cfg = parse_config("[density]\nprofile = blob\nbase = 1.0\namplitude = 0.7\nwidth = 0.3\n"
-                       "center1 = 3.0\ncenter2 = 3.0\nmollify_width = 0.0\n")
-    assert cfg.rho0 == blob
+def test_mollify_width_is_not_a_key():
+    err = _err("[domain]\nn1 = 16\n[density]\nk1 = 2\nmollify_width = 0.3\n")
+    assert err.line == 5
+    assert "unknown key 'mollify_width' in [density]" in str(err)
 
 
 def test_phi_modes_profile():
@@ -470,4 +387,4 @@ def test_profile_table_matches_schema():
         assert set(keys) <= set(_SCHEMA[section])
     for section in ("density", "initial_phi", "initial_u"):
         read = {k for (s, _), (keys, _) in _PROFILES.items() if s == section for k in keys}
-        assert set(_SCHEMA[section]) - {"profile", "mollify_width"} <= read
+        assert set(_SCHEMA[section]) - {"profile"} <= read

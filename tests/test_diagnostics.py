@@ -241,6 +241,8 @@ def test_besov_validation():
         besov_seminorm(np.ones((4, 2)), 2, 0.1)
     with pytest.raises(DomainError):
         besov_seminorm([1.0, np.nan, 2.0, 3.0], 2, 0.1)
+    with pytest.raises(DomainError, match="sample_dt must be positive and finite, got inf"):
+        besov_norm([1.0, 2.0, 3.0, 4.0], math.inf, math.inf)
 
 
 def test_besov_constant_series_is_zero():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -298,6 +299,8 @@ def test_picard_validation():
     ({"t_tilde": np.nan}, "horizon must be positive and finite, got nan"),
     ({"tol_r": np.nan}, "tol_r must be nonnegative, got nan"),
     ({"tol_r": -1.0}, "tol_r must be nonnegative, got -1.0"),
+    ({"t_tilde": 1e300}, f"horizon must be at most {sys.maxsize - 1} steps, "
+                         "got t_tilde=1e+300 / dt=0.0025 = 4e+302 steps"),
 ])
 def test_picard_refuses_a_horizon_or_tol_r_it_cannot_meet(kwargs, message):
     pb = make_problem(n=8, rho=ConstantDensity(1.0))

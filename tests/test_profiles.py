@@ -28,7 +28,6 @@ def test_constant_density():
     pts = grid_points(GRID)
     np.testing.assert_array_equal(rho(pts), 1.5)
     assert rho.bounds == (1.5, 1.5)
-    assert rho.mollified(0.3) is rho
     with pytest.raises(DomainError):
         ConstantDensity(0.0)
 
@@ -49,15 +48,6 @@ def test_sinusoidal_density_values_and_bounds():
         SinusoidalDensity(1.0, 1.0, L)
 
 
-def test_sinusoidal_mollification_closed_form():
-    rho = SinusoidalDensity(1.5, 0.5, L, k1=2, k2=1)
-    sm = rho.mollified(0.4)
-    k_sq = 2.0**2 + 1.0**2
-    assert sm.amplitude == pytest.approx(0.5 * np.exp(-k_sq * 0.16 / 2), rel=1e-15)
-    # width 0 leaves the profile unchanged
-    assert rho.mollified(0.0).amplitude == rho.amplitude
-
-
 def test_blob_density():
     rho = BlobDensity(1.0, 0.8, 0.6, (np.pi, np.pi), L)
     pts = grid_points(GRID)
@@ -70,17 +60,6 @@ def test_blob_density():
     assert rho(np.array([0.0, 0.0])) == pytest.approx(lo, rel=1e-12)
     # image sum makes it periodic
     np.testing.assert_allclose(rho(pts + np.array([L[0], 0.0])), vals, rtol=1e-12)
-
-
-def test_blob_mollification_is_width_addition():
-    rho = BlobDensity(1.0, 0.8, 0.6, (1.0, 2.0), L)
-    sm = rho.mollified(0.5)
-    assert sm.width == pytest.approx(np.sqrt(0.61), rel=1e-15)
-    assert sm.amplitude == pytest.approx(0.8 * 0.36 / 0.61, rel=1e-15)
-    # mollification by a unit-mass kernel preserves the mean:
-    # the grid average must agree before and after
-    pts = grid_points(GRID)
-    assert sm(pts).mean() == pytest.approx(rho(pts).mean(), rel=1e-10)
 
 
 def test_phi_constant_and_modes():
