@@ -11,7 +11,8 @@ Subcommands:
     sweep             resolution or regularization refinement studies
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 runtime failure
-(blow-up, solver stall, unstable step, non-convergence, horizon breach).
+(blow-up, solver stall, unstable step, non-convergence, horizon breach,
+out of memory).
 All output is deterministic: no timestamps, no machine identifiers.
 """
 
@@ -34,7 +35,7 @@ from .errors import (
     DomainError,
 )
 from .fixedpoint import picard
-from .potential import PotentialSpec, f_eps, f_eps_prime, f_eps_second, f_log
+from .potential import f_eps, f_eps_prime, f_eps_second, f_log
 from .snapshot import SnapshotSink, write_snapshot
 
 
@@ -95,6 +96,9 @@ def _cmd_check_anisotropy(args) -> int:
         raise DomainError("--beta excludes explicit matrix entries")
     if explicit and len(explicit) != 3:
         raise DomainError("provide all three of --m11 --m12 --m22")
+    if args.config is not None and (args.beta is not None or explicit):
+        flags = "--beta" if args.beta is not None else "--m11/--m12/--m22"
+        raise DomainError(f"--config excludes {flags}")
     if args.beta is not None:
         model = taylor_cahn_matrix(args.beta)
     elif explicit:
@@ -263,25 +267,25 @@ def _cmd_sweep(args) -> int:
     eps_values = _flag_values(args.eps, "--eps", float)
     if len(eps_values) < 2:
         raise DomainError("--eps needs at least two values")
+    # every variant's problem is built, and so checked, before the first run
+    problems = [dataclasses.replace(cfg, spec=dataclasses.replace(cfg.spec, eps=eps)).problem()
+                for eps in eps_values]
     e0_unreg = None
-    for eps in eps_values:
-        spec = PotentialSpec(cfg.spec.lambda1, cfg.spec.lambda2, eps)
-        cfg_e = dataclasses.replace(cfg, spec=spec)
-        grid = cfg_e.grid()
-        problem = cfg_e.problem()
-        u0, phi0 = cfg_e.initial_fields(grid)
+    for problem in problems:
+        grid, spec = problem.grid, problem.spec
+        u0, phi0 = cfg.initial_fields(grid)
         reports, state0 = [], None
 
         def sink(state):
             nonlocal state0
             if state0 is None:
                 state0 = state
-            reports.append(diagnostics.energy_report(grid, state, cfg_e.laws, cfg_e.model, spec))
+            reports.append(diagnostics.energy_report(grid, state, cfg.laws, cfg.model, spec))
 
-        run_integrator(problem, u0, phi0, cfg_e.stepper(), sinks=[sink])
+        run_integrator(problem, u0, phi0, cfg.stepper(), sinks=[sink])
         st0 = reports[0]
         e_max = max(r.e_total for r in reports)
-        print(f"eps={eps:g} e0_eps={_fmt(st0.e_total)} e_max={_fmt(e_max)}")
+        print(f"eps={spec.eps:g} e0_eps={_fmt(st0.e_total)} e_max={_fmt(e_max)}")
         if e0_unreg is None:
             # unregularized initial energy: swap only the potential term;
             # the logarithmic well needs |phi| < 1, true for admissible data
@@ -372,6 +376,10 @@ def main(argv=None) -> int:
         return 1
     except AchnsError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"runtime error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

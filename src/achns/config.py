@@ -13,6 +13,7 @@ what it builds. `_read_profile` reads every profile section against it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,6 +166,11 @@ class RunConfig:
     snapshots: str
 
     def grid(self) -> TorusGrid:
+        """The run's one grid, built on first use; `problem()` steps on it."""
+        return self._grid
+
+    @cached_property  # per instance, so `dataclasses.replace` gives a variant its own
+    def _grid(self):
         return TorusGrid(self.lengths, self.n_grid)
 
     def problem(self) -> Problem:

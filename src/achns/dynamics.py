@@ -81,10 +81,10 @@ class StepperConfig:
     allow_unstable_dt: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise DomainError("dt must be positive")
-        if self.t_end < 0:
-            raise DomainError("t_end must be nonnegative")
+        if not 0 < self.dt < np.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_end < np.inf:
+            raise DomainError(f"t_end must be nonnegative and finite, got {self.t_end}")
 
 
 @dataclass(frozen=True)

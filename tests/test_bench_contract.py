@@ -91,5 +91,7 @@ def test_every_workload_config_loads_and_builds(bench, tmp_path, name):
     grid = cfg.grid()
     assert grid.n_grid == case.grid and cfg.dt == case.dt
     assert isinstance(cfg.problem(), Problem) and isinstance(cfg.stepper(), StepperConfig)
+    # the unit steps on the grid that samples its fields and carries its sinks
+    assert cfg.problem().grid is grid
     u0, phi0 = cfg.initial_fields(grid)
     assert u0.shape == (2,) + grid.n_grid and phi0.shape == grid.n_grid

@@ -134,6 +134,19 @@ def test_check_anisotropy_conflicting_flags(capsys):
     assert main(["check-anisotropy", "--m11", "1"]) == 1
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--beta", "0.1"], "--beta"),
+    (["--m11", "1", "--m12", "0", "--m22", "1"], "--m11/--m12/--m22"),
+], ids=["beta", "matrix"])
+def test_check_anisotropy_config_excludes_the_other_forms(tmp_path, capsys, args, flag):
+    # refused before the file is read: the file does not exist
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["check-anisotropy", *args, "--config", missing]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --config excludes {flag}\n"
+
+
 @pytest.mark.parametrize("args", [
     ["--beta", "nan"],
     ["--beta", "inf"],
@@ -226,6 +239,21 @@ def test_fixedpoint_refuses_a_horizon_or_tol_r_it_cannot_meet(tiny_cfg, capsys, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"config error: {name} must be ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 16.0 EiB"), "out of memory: Unable to allocate 16.0 EiB"),
+    (MemoryError(), "out of memory"),
+], ids=["with_text", "bare"])
+def test_fixedpoint_out_of_memory_is_a_runtime_failure(tiny_cfg, monkeypatch, capsys, exc, line):
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("achns.cli.picard", no_memory)
+    assert main(["fixedpoint", "--config", tiny_cfg, "--t-tilde", "1e16", "--tol", "1e-6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"runtime error: {line}\n"
 
 
 # --- bihari ------------------------------------------------------------------
@@ -385,6 +413,18 @@ def test_sweep_checks_every_grid_before_the_first_run(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert f"[time] {key} on the 16x16 sweep grid" in err
     assert nearest in err
+
+
+def test_sweep_checks_every_width_before_the_first_run(tiny_cfg, monkeypatch, capsys):
+    # 0.5 is past the default well's admissible width
+    def no_run(*args, **kwargs):
+        raise AssertionError("sweep stepped before checking every width")
+
+    monkeypatch.setattr("achns.cli.run_integrator", no_run)
+    assert main(["sweep", "--config", tiny_cfg, "--eps", "0.2,0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: regularization eps=0.5 outside the admissible range\n"
 
 
 # --- parser ------------------------------------------------------------------

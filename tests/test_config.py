@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -77,6 +78,16 @@ def test_constructors_work_from_defaults():
     u0, phi0 = cfg.initial_fields(grid)
     assert u0.shape == (2, 8, 8)
     assert phi0.shape == (8, 8)
+
+
+def test_a_config_holds_one_grid():
+    # the grid that steps the run is the one its fields and sinks use
+    cfg = parse_config("[domain]\nn1 = 8\nn2 = 8\n")
+    grid = cfg.grid()
+    assert cfg.grid() is grid and cfg.problem().grid is grid
+    variant = dataclasses.replace(cfg, n_grid=(16, 16))
+    assert variant.grid() is not grid and variant.grid().n_grid == (16, 16)
+    assert variant.problem().grid is variant.grid() and cfg.grid() is grid
 
 
 # --- line-anchored rejection -------------------------------------------------

@@ -104,6 +104,13 @@ def test_stepper_config_validation():
         StepperConfig(dt=0.0, t_end=1.0)
     with pytest.raises(DomainError):
         StepperConfig(dt=1e-3, t_end=-1.0)
+    for dt in (np.inf, np.nan):
+        with pytest.raises(DomainError, match=f"dt must be positive and finite, got {dt}"):
+            StepperConfig(dt=dt, t_end=1.0)
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(DomainError,
+                           match=f"t_end must be nonnegative and finite, got {t_end}"):
+            StepperConfig(dt=1e-3, t_end=t_end)
 
 
 def test_problem_validation():
