@@ -48,11 +48,11 @@ def _fmt(x: float) -> str:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.output if args.output is not None else cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-
+    # the run is set up, and so checked, before anything is written
     grid = cfg.grid()
     problem = cfg.problem()
     u0, phi0 = cfg.initial_fields(grid)
+    os.makedirs(out_dir, exist_ok=True)
 
     csv_path = os.path.join(out_dir, "energy.csv")
     snap_sink = None
@@ -65,17 +65,17 @@ def _cmd_run(args) -> int:
         summary = run_integrator(problem, u0, phi0, cfg.stepper(),
                                  sinks=sinks, cadence=cfg.cadence)
 
-    reports = writer.reports
-    m0, m1 = reports[0].mass_rho, reports[-1].mass_rho
-    p0, p1 = reports[0].mass_rhophi, reports[-1].mass_rhophi
+    first, last = writer.first, writer.last
+    m0, m1 = first.mass_rho, last.mass_rho
+    p0, p1 = first.mass_rhophi, last.mass_rhophi
     drift_rho = abs(m1 - m0) / max(abs(m0), 1e-300)
     drift_rhophi = abs(p1 - p0) / max(abs(p0), abs(m0))
 
     print(f"grid: {grid.n_grid[0]} x {grid.n_grid[1]}")
     print(f"steps: {summary.n_steps}")
     print(f"final time: {_fmt(summary.final_state.t)}")
-    print(f"initial energy: {_fmt(reports[0].e_total)}")
-    print(f"final energy: {_fmt(reports[-1].e_total)}")
+    print(f"initial energy: {_fmt(first.e_total)}")
+    print(f"final energy: {_fmt(last.e_total)}")
     print(f"mass drift rho: {_fmt(drift_rho)}")
     print(f"mass drift rho*phi: {_fmt(drift_rhophi)}")
     print(f"energy file: {csv_path}")

@@ -181,8 +181,16 @@ class RunConfig:
         return StepperConfig(dt=self.dt, t_end=self.t_end, allow_unstable_dt=self.allow_unstable_dt)
 
     def initial_fields(self, grid: TorusGrid):
-        phi0 = _build("initial_phi", self.phi_init, grid)
-        return _build("initial_u", self.u_init, grid), phi0
+        """(u0, phi0) on grid. A profile value that only the grid can check
+        (a random profile's kmax, a modes entry) is refused here, by a
+        ConfigError that names the section."""
+        built = {}
+        for section, values in (("initial_phi", self.phi_init), ("initial_u", self.u_init)):
+            try:
+                built[section] = _build(section, values, grid)
+            except (DimensionError, DomainError) as exc:
+                raise ConfigError(f"[{section}] {exc}") from exc
+        return built["initial_u"], built["initial_phi"]
 
 
 def _scan(text):

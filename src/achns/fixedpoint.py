@@ -170,16 +170,9 @@ def residual_r_eps(grid: TorusGrid, state: FlowState, u_tilde, spec: PotentialSp
     """Transport remainder int F(phi) (u - u~) . grad rho by collocation
     quadrature; the density gradient is the spectral derivative of the
     sampled density."""
-    diff = state.u - u_tilde
-    if not np.any(diff):
-        return 0.0
-    rc = grid.to_spectral(state.rho.values)
-    grho = grid.grad(rc)
-    if not (np.any(grho[0]) or np.any(grho[1])):
-        return 0.0
-    dg = grid.to_grid(diff)
-    grho_vals = grid.to_grid(grho)
-    fvals = f_eps(spec, grid.to_grid(state.phi))
+    grho = grid.grad(grid.to_spectral(state.rho.values))
+    vals = grid.to_grid(np.concatenate([state.u - u_tilde, grho, state.phi[None]]))
+    dg, grho_vals, fvals = vals[:2], vals[2:4], f_eps(spec, vals[4])
     return grid.quadrature(fvals * (dg[0] * grho_vals[0] + dg[1] * grho_vals[1]))
 
 

@@ -60,6 +60,29 @@ def test_run_small(small_cfg, tmp_path, capsys):
     assert header.split(",")[:2] == ["t", "e_kin"]
 
 
+def test_run_energy_csv_header_is_the_documented_one(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", tiny_cfg, "--output", str(out)]) == 0
+    header = (out / "energy.csv").read_text().splitlines()[0]
+    assert header == ("t,e_kin,e_surf,e_pot,e_total,d_visc,d_diff,"
+                      "mass_rho,mass_rhophi,f_eps_prime_l6,energy_residual")
+
+
+@pytest.mark.parametrize("section, text, message", [
+    ("initial_phi", "kmax = 0\n", "band_random needs kmax >= 1"),
+    ("initial_u", "profile = random_solenoidal\nseed = 1\nkmax = 3\n",
+     "kmax=3 exceeds the dealiased band of this grid"),
+], ids=["initial_phi", "initial_u"])
+def test_run_refuses_a_profile_the_grid_refuses_before_writing(tmp_path, capsys,
+                                                               section, text, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY + f"[{section}]\n" + text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: [{section}] {message}\n"
+    assert not out.exists()
+
+
 def test_run_deterministic(small_cfg, tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", small_cfg, "--output", str(out1)]) == 0

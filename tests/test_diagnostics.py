@@ -216,16 +216,47 @@ def test_energy_csv_writer_streams_and_reparses():
     buf = io.StringIO()
     writer = EnergyCsvWriter(buf, g, pb.laws, pb.model, pb.spec)
     phi0 = phi_band_random(g, seed=5, kmax=2, amplitude=0.3, mean=0.0)
-    run(pb, u_taylor_green(g, 0.3), phi0, cfg, sinks=[writer])
+    reports = []
+    run(pb, u_taylor_green(g, 0.3), phi0, cfg,
+        sinks=[writer, lambda st: reports.append(report_of(pb, st))])
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == ",".join(EnergyCsvWriter.COLUMNS)
     assert len(lines) == 1 + 6  # initial state plus five steps
     table = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
     # 17 significant digits round-trip the doubles exactly
     assert table[0, -1] == 0.0
-    assert np.array_equal(table[:, 0], np.array([r.t for r in writer.reports]))
-    res, _ = energy_law_residual(writer.reports, cfg.dt)
+    assert np.array_equal(table[:, 0], np.array([r.t for r in reports]))
+    res, _ = energy_law_residual(reports, cfg.dt)
     assert np.array_equal(table[1:, -1], res)
+
+
+def test_energy_csv_writer_keeps_only_the_first_and_last_reports():
+    pb = make_problem(n=8)
+    g = pb.grid
+    cfg = StepperConfig(dt=4e-3, t_end=0.02)
+    writer = EnergyCsvWriter(io.StringIO(), g, pb.laws, pb.model, pb.spec)
+    phi0 = phi_band_random(g, seed=5, kmax=2, amplitude=0.3, mean=0.0)
+    run(pb, u_taylor_green(g, 0.3), phi0, cfg, sinks=[writer])
+    assert writer.first.t == 0.0
+    assert writer.last.t == cfg.t_end
+    assert not any(isinstance(v, (list, tuple)) for v in vars(writer).values())
+
+
+def test_energy_report_makes_one_inverse_transform(monkeypatch):
+    pb = make_problem(n=8)
+    g = pb.grid
+    st = pb.initial_state(u_taylor_green(g, 0.3),
+                          phi_band_random(g, seed=5, kmax=2, amplitude=0.3, mean=0.0))
+    to_grid = TorusGrid.to_grid
+    calls = []
+
+    def counted(self, coef):
+        calls.append(np.shape(coef))
+        return to_grid(self, coef)
+
+    monkeypatch.setattr(TorusGrid, "to_grid", counted)
+    report_of(pb, st)
+    assert calls == [(12,) + g.band_shape]
 
 
 # --- quarter-Holder seminorm ---------------------------------------------------

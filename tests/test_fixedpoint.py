@@ -129,6 +129,23 @@ def test_residual_collocation_oracle():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def test_residual_makes_one_inverse_transform(monkeypatch):
+    pb = make_problem(n=8)
+    g = pb.grid
+    st = pb.initial_state(u_taylor_green(g, 0.3), phi_constant(g, 0.2))
+    to_grid = TorusGrid.to_grid
+    calls = []
+
+    def counted(self, coef):
+        calls.append(np.shape(coef))
+        return to_grid(self, coef)
+
+    monkeypatch.setattr(TorusGrid, "to_grid", counted)
+    residual_r_eps(g, st, np.zeros_like(st.u), pb.spec)
+    residual_r_eps(g, st, st.u, pb.spec)
+    assert calls == [(5,) + g.band_shape] * 2
+
+
 # --- the frozen-coefficient map ------------------------------------------------
 
 def test_lambda_map_equilibrium_is_fixed_point():
