@@ -56,6 +56,13 @@ def _pint(text, line):
         raise ConfigError(f"expected an integer, got {text!r}", line) from None
 
 
+def _pcount(text, line):
+    value = _pint(text, line)
+    if value < 1:
+        raise ConfigError(f"expected an integer >= 1, got {text!r}", line)
+    return value
+
+
 def _pbool(text, line):
     low = text.lower()
     if low in ("true", "false"):
@@ -98,14 +105,14 @@ _SCHEMA = {
                 "k1": (_pint, 1), "k2": (_pint, 1), "width": (_pfloat, None),
                 "center1": (_pfloat, None), "center2": (_pfloat, None)},
     "initial_phi": {"profile": (_pstr, "band_random"), "value": (_pfloat, None),
-                    "modes": (_pmodes, None), "seed": (_pint, 7), "kmax": (_pint, 2),
+                    "modes": (_pmodes, None), "seed": (_pint, 7), "kmax": (_pcount, 2),
                     "amplitude": (_pfloat, 0.5), "mean": (_pfloat, -0.05),
                     "extra_modes": (_pmodes, [(10, -10, 2e-9, 0.0)])},
     "initial_u": {"profile": (_pstr, "taylor_green"), "amplitude": (_pfloat, 0.3),
-                  "seed": (_pint, None), "kmax": (_pint, None)},
+                  "seed": (_pint, None), "kmax": (_pcount, None)},
     "time": {"dt": (_pfloat, 4e-3), "t_end": (_pfloat, 1.0), "allow_unstable_dt": (_pbool, False),
              "n_modes_u": (_pint, None), "n_modes_phi": (_pint, None)},
-    "output": {"directory": (_pstr, "out"), "cadence": (_pint, 1),
+    "output": {"directory": (_pstr, "out"), "cadence": (_pcount, 1),
                "snapshots": (_pstr, "final")},
 }
 
@@ -182,8 +189,8 @@ class RunConfig:
 
     def initial_fields(self, grid: TorusGrid):
         """(u0, phi0) on grid. A profile value that only the grid can check
-        (a random profile's kmax, a modes entry) is refused here, by a
-        ConfigError that names the section."""
+        (a random profile's kmax against the band, a modes entry) is
+        refused here, by a ConfigError that names the section."""
         built = {}
         for section, values in (("initial_phi", self.phi_init), ("initial_u", self.u_init)):
             try:
@@ -331,9 +338,6 @@ def parse_config(text: str) -> RunConfig:
         except DomainError as exc:
             raise ConfigError(f"{key}: {exc}", view.line("time", key)) from exc
 
-    cadence = view.get("output", "cadence")
-    if cadence < 1:
-        raise ConfigError("cadence must be >= 1", view.line("output", "cadence", 0))
     snapshots = view.get("output", "snapshots")
     if snapshots not in SNAPSHOT_CHOICES:
         raise ConfigError(
@@ -346,7 +350,7 @@ def parse_config(text: str) -> RunConfig:
         rho0=rho0, phi_init=phi_init, u_init=u_init,
         dt=stepper.dt, t_end=stepper.t_end, allow_unstable_dt=stepper.allow_unstable_dt,
         n_modes_u=view.get("time", "n_modes_u"), n_modes_phi=view.get("time", "n_modes_phi"),
-        out_dir=view.get("output", "directory"), cadence=cadence,
+        out_dir=view.get("output", "directory"), cadence=view.get("output", "cadence"),
         snapshots=snapshots,
     )
 

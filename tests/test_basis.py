@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.fft
 
+from achns import basis
 from achns.basis import Jet, TorusGrid, vdot
 from achns.errors import DimensionError, DomainError
 
@@ -264,11 +268,36 @@ def test_project_scalar_identity_and_truncation():
 
 _TRANSFORM_GRIDS = [((2 * np.pi, 4 * np.pi), (16, 32)), ((1.0, 1.0), (32, 32)),
                     ((2 * np.pi, 2 * np.pi), (128, 128))]
+# every grid extent and stack the package transforms: 8^2 to 128^2 and a
+# (16, 32) box; one field to the 17 of a Picard right-hand side
+_ALL_GRIDS = _TRANSFORM_GRIDS + [((2 * np.pi, 2 * np.pi), (8, 8)),
+                                 ((2 * np.pi, 2 * np.pi), (16, 16)), ((1.0, 1.0), (64, 64))]
+_STACKS = [(), (2,), (4,), (3,), (5,), (8,), (12,), (17,), (2, 2)]
+
+# The transforms through the public scipy.fft functions, as reference:
+# each ignores the arguments its call site passes to the binding, so a
+# call site with another norm code or axis gives other bits.
 
 
-@pytest.mark.parametrize("lead", [(), (2,), (4,)])
-@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
-def test_to_spectral_matches_the_complex_transform(lengths, n_grid, lead):
+def _public_rfft2(a, *_):
+    return scipy.fft.rfft2(a, norm="forward")
+
+
+def _public_irfft2(a, *_):
+    return scipy.fft.irfft2(a, s=(a.shape[-2], 2 * (a.shape[-1] - 1)), norm="forward")
+
+
+def _public_ifft(a, *_):
+    return scipy.fft.ifft(a, axis=-2, norm="forward")
+
+
+def _public_irfft(a, *_):
+    return scipy.fft.irfft(a, n=2 * (a.shape[-1] - 1), axis=-1, norm="forward")
+
+
+@pytest.mark.parametrize("lead", _STACKS)
+@pytest.mark.parametrize("lengths, n_grid", _ALL_GRIDS)
+def test_to_spectral_matches_the_complex_transform(monkeypatch, lengths, n_grid, lead):
     rng = np.random.default_rng(n_grid[0] + len(lead))
     grid = TorusGrid(lengths, n_grid)
     vals = rng.standard_normal(lead + n_grid)
@@ -276,11 +305,14 @@ def test_to_spectral_matches_the_complex_transform(lengths, n_grid, lead):
     got = grid.to_spectral(vals)
     assert got.shape == lead + grid.band_shape == want.shape
     assert _relative_gap(got, want) <= 1e-15
+    monkeypatch.setattr(basis, "_r2c", _public_rfft2)
+    assert np.array_equal(got, grid.to_spectral(vals))
 
 
-@pytest.mark.parametrize("lead", [(), (2,), (4,)])
-@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
-def test_to_grid_matches_the_complex_transform_for_real_fields(lengths, n_grid, lead):
+@pytest.mark.parametrize("lead", _STACKS)
+@pytest.mark.parametrize("lengths, n_grid", _ALL_GRIDS)
+def test_to_grid_matches_the_complex_transform_for_real_fields(monkeypatch, lengths, n_grid,
+                                                               lead):
     # exactly Hermitian full-plane coefficients inside the band
     rng = np.random.default_rng(n_grid[1] + len(lead))
     grid = TorusGrid(lengths, n_grid)
@@ -290,6 +322,63 @@ def test_to_grid_matches_the_complex_transform_for_real_fields(lengths, n_grid, 
     got = grid.to_grid(band_of(grid, coef))
     assert got.shape == want.shape
     assert _relative_gap(got, want) <= 1e-15
+    monkeypatch.setattr(basis, "_c2r", _public_irfft2)
+    assert np.array_equal(got, grid.to_grid(band_of(grid, coef)))
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 2)])
+@pytest.mark.parametrize("lengths, n_grid", _ALL_GRIDS)
+def test_jet_fields_are_those_of_the_public_transforms(monkeypatch, lengths, n_grid, lead):
+    # to order 7, the highest the 32^2 runs' feet take
+    rng = np.random.default_rng(n_grid[0] + len(lead))
+    grid = TorusGrid(lengths, n_grid)
+    coef = grid.to_spectral(rng.standard_normal(lead + n_grid))
+    jet = Jet(grid, coef)
+    jet.extend(7)
+    monkeypatch.setattr(basis, "_c2c", _public_ifft)
+    monkeypatch.setattr(basis, "_c2r", _public_irfft)
+    want = Jet(grid, coef)
+    want.extend(7)
+    assert len(jet.fields) == len(want.fields) == 8
+    for got, ref in zip(jet.fields, want.fields):
+        assert np.array_equal(got, ref)
+
+
+def test_transforms_call_pocketfft_directly():
+    # a scipy that moves or changes its private binding makes basis fall
+    # back to the public functions, several times slower at 32^2
+    from scipy.fft._pocketfft import pypocketfft
+
+    assert (basis._r2c, basis._c2r, basis._c2c) == (pypocketfft.r2c, pypocketfft.c2r,
+                                                    pypocketfft.c2c)
+
+
+def test_public_fallback_gives_the_same_bits(monkeypatch):
+    # without the private binding, basis binds the public functions
+    # behind its signatures, and they give the same bits
+    rng = np.random.default_rng(12)
+    grid = TorusGrid((2 * np.pi, 4 * np.pi), (16, 32))
+    vals = rng.standard_normal((3,) + grid.n_grid)
+    coef = grid.to_spectral(vals)
+    back = grid.to_grid(coef)
+    jet = Jet(grid, coef)
+    jet.extend(7)
+    monkeypatch.setitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", None)
+    public = basis._bind_transforms()
+    assert public == (basis._public_r2c, basis._public_c2r, basis._public_c2c)
+    for name, fn in zip(("_r2c", "_c2r", "_c2c"), public):
+        monkeypatch.setattr(basis, name, fn)
+    assert np.array_equal(grid.to_spectral(vals), coef)
+    assert np.array_equal(grid.to_grid(coef), back)
+    again = Jet(grid, coef)
+    again.extend(7)
+    assert all(np.array_equal(a, b) for a, b in zip(again.fields, jet.fields))
+
+
+def test_to_spectral_takes_integer_grids():
+    grid = make_grid(16)
+    ints = np.random.default_rng(13).integers(-5, 6, (2,) + grid.n_grid)
+    assert np.array_equal(grid.to_spectral(ints), grid.to_spectral(ints.astype(float)))
 
 
 @pytest.mark.parametrize("lengths, n_grid", [((2 * np.pi, 2 * np.pi), (16, 16)),

@@ -69,7 +69,7 @@ def test_run_energy_csv_header_is_the_documented_one(tiny_cfg, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("section, text, message", [
-    ("initial_phi", "kmax = 0\n", "band_random needs kmax >= 1"),
+    ("initial_phi", "kmax = 3\n", "kmax=3 exceeds the dealiased band of this grid"),
     ("initial_u", "profile = random_solenoidal\nseed = 1\nkmax = 3\n",
      "kmax=3 exceeds the dealiased band of this grid"),
 ], ids=["initial_phi", "initial_u"])

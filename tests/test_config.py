@@ -215,6 +215,17 @@ def test_bad_cadence():
     assert err.line == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("[initial_phi]\nseed = 3\nkmax = 0\n", 3),
+    ("[initial_u]\nprofile = random_solenoidal\nseed = 1\nkmax = -2\n", 4),
+], ids=["initial_phi", "initial_u"])
+def test_kmax_below_one_is_refused_at_its_line(text, line):
+    # no grid admits it, so it is refused as it is read, not at set-up
+    err = _err(text)
+    assert err.line == line
+    assert "expected an integer >= 1" in str(err)
+
+
 def test_bad_time_step():
     err = _err("[time]\ndt = -0.001\n")
     assert err.line == 2
