@@ -27,7 +27,7 @@ import numpy as np
 from . import diagnostics
 from .anisotropy import check_hypotheses, quadratic_form, taylor_cahn_matrix
 from .config import load_config
-from .dynamics import run as run_integrator
+from .dynamics import check_dt, run as run_integrator
 from .errors import (
     AchnsError,
     ConfigError,
@@ -52,6 +52,7 @@ def _cmd_run(args) -> int:
     grid = cfg.grid()
     problem = cfg.problem()
     u0, phi0 = cfg.initial_fields(grid)
+    check_dt(problem, cfg.stepper(), min(cfg.dt, cfg.t_end))  # the first step's dt
     os.makedirs(out_dir, exist_ok=True)
 
     csv_path = os.path.join(out_dir, "energy.csv")
@@ -213,8 +214,9 @@ def _lift_modes(coarse, fine, coef):
 
 
 def _sweep_config(cfg, n):
-    """cfg on the n x n grid. Raises DomainError, naming the key and the
-    grid, when a mode count of cfg is not valid there."""
+    """cfg on the n x n grid, and its problem. Raises DomainError, naming
+    the key and the grid, when a mode count of cfg is not valid there, and
+    StabilityError when dt exceeds that grid's stability bound."""
     cfg_n = dataclasses.replace(cfg, n_grid=(n, n))
     grid = cfg_n.grid()
     for key in ("n_modes_u", "n_modes_phi"):
@@ -222,12 +224,13 @@ def _sweep_config(cfg, n):
             grid.check_mode_count(getattr(cfg, key))
         except DomainError as exc:
             raise DomainError(f"[time] {key} on the {n}x{n} sweep grid: {exc}") from exc
-    return cfg_n
+    problem = cfg_n.problem()
+    check_dt(problem, cfg_n.stepper(), min(cfg_n.dt, cfg_n.t_end))
+    return cfg_n, problem
 
 
-def _run_final_state(cfg):
+def _run_final_state(cfg, problem):
     grid = cfg.grid()
-    problem = cfg.problem()
     u0, phi0 = cfg.initial_fields(grid)
     summary = run_integrator(problem, u0, phi0, cfg.stepper())
     return grid, summary.final_state
@@ -251,8 +254,8 @@ def _cmd_sweep(args) -> int:
         if len(sizes) < 2:
             raise DomainError("--modes needs at least two sizes")
         # every sweep grid is checked before the first run
-        cfgs = [_sweep_config(cfg, n) for n in sizes]
-        results = [(n,) + _run_final_state(cfg_n) for n, cfg_n in zip(sizes, cfgs)]
+        setups = [_sweep_config(cfg, n) for n in sizes]
+        results = [(n,) + _run_final_state(*setup) for n, setup in zip(sizes, setups)]
         n_ref, g_ref, st_ref = results[-1]
         print(f"reference: n={n_ref}")
         for n, g, st in results[:-1]:
@@ -274,17 +277,16 @@ def _cmd_sweep(args) -> int:
     for problem in problems:
         grid, spec = problem.grid, problem.spec
         u0, phi0 = cfg.initial_fields(grid)
-        reports, state0 = [], None
+        state0 = st0 = e_max = None
 
         def sink(state):
-            nonlocal state0
-            if state0 is None:
-                state0 = state
-            reports.append(diagnostics.energy_report(grid, state, cfg.laws, cfg.model, spec))
+            nonlocal state0, st0, e_max
+            rep = diagnostics.energy_report(grid, state, cfg.laws, cfg.model, spec)
+            if st0 is None:
+                state0, st0, e_max = state, rep, rep.e_total
+            e_max = max(e_max, rep.e_total)
 
         run_integrator(problem, u0, phi0, cfg.stepper(), sinks=[sink])
-        st0 = reports[0]
-        e_max = max(r.e_total for r in reports)
         print(f"eps={spec.eps:g} e0_eps={_fmt(st0.e_total)} e_max={_fmt(e_max)}")
         if e0_unreg is None:
             # unregularized initial energy: swap only the potential term;

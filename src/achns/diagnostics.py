@@ -116,11 +116,13 @@ def energy_law_residual(reports, dt: float):
 class EnergyCsvWriter:
     """Streaming sink: one CSV row of the energy ledger per emitted state.
 
-    The columns are `EnergyReport`'s fields and the energy-law residual of
-    the step ending at the row (0 on the first); only the first and last
-    reports are kept. Rows carry 17 significant digits so that re-parsing
-    reproduces the binary doubles exactly; each row is flushed as soon as
-    it is written, so a crashed run leaves a valid prefix behind.
+    The columns are `EnergyReport`'s fields and the energy-law residual
+    since the previous row (0 on the first): one trapezoid over the time
+    between the two rows, which spans up to `cadence` steps. Only the
+    first and last reports are kept. Rows carry 17 significant digits so
+    that re-parsing reproduces the binary doubles exactly; each row is
+    flushed as soon as it is written, so a crashed run leaves a valid
+    prefix behind.
     """
 
     COLUMNS = tuple(f.name for f in fields(EnergyReport)) + ("energy_residual",)

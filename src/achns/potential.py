@@ -92,12 +92,6 @@ def g_log_prime(spec, s):
 
 
 @_elementwise
-def g_log_second(spec, s):
-    s = _inside(s)
-    return spec.lambda2 / (1 - s * s)
-
-
-@_elementwise
 def f_log(spec, s):
     return 0.5 * spec.lambda1 * (1 - s ** 2) + g_log(spec, s)
 
@@ -150,66 +144,3 @@ def f_eps_second(spec, s):
     inner, ti, _ = _branches(spec, s)
     return -spec.lambda1 + np.where(inner, spec.lambda2 / (1 - ti * ti), _knot_second(spec))
 
-
-def f_eps_min(spec, n_scan: int = 20001, s_max: float = 4.0) -> float:
-    """Global minimum of the extended potential (it can dip slightly
-    below zero between the spinodal hump and the quadratic tails)."""
-    s = np.linspace(-s_max, s_max, n_scan)
-    vals = f_eps(spec, s)
-    i = int(np.argmin(vals))
-    m = float(vals[i])
-    # polish by bisecting the derivative in the bracketing interval
-    if 0 < i < s.size - 1:
-        lo, hi = s[i - 1], s[i + 1]
-        if f_eps_prime(spec, lo) < 0.0 < f_eps_prime(spec, hi):
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if f_eps_prime(spec, mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            m = min(m, float(f_eps(spec, 0.5 * (lo + hi))))
-    # the outer branch is an upward parabola; include its exact vertex
-    curv = -spec.lambda1 + _knot_second(spec)
-    if curv > 0:
-        a = spec.knot
-        slope_a = f_eps_prime(spec, a)
-        vertex = a - slope_a / curv
-        if vertex > a:
-            m = min(m, float(f_eps(spec, vertex)))
-    return m
-
-
-def quadratic_growth_constants(spec, s_max: float = 50.0):
-    """Constants (c_eps, m_eps) with F_eps(s) > m_eps s^2 for |s| > c_eps.
-
-    m_eps is half the quadratic coefficient of the outer branch; c_eps
-    is located by scanning F_eps(s) - m_eps s^2 for its last sign
-    change and bisecting.
-    """
-    lead = 0.5 * (_knot_second(spec) - spec.lambda1)  # s^2 coefficient of the outer branch
-    if lead <= 0:
-        raise DomainError(
-            "outer branch of the extension is not convex; "
-            f"eps={spec.eps} is outside the admissible range "
-            f"(threshold {eps_threshold(spec.lambda1, spec.lambda2):.6g})"
-        )
-    m_eps = 0.5 * lead
-
-    def h(s):
-        return f_eps(spec, s) - m_eps * s * s
-
-    s = np.linspace(0.0, s_max, 200001)
-    vals = h(s)
-    neg = np.flatnonzero(vals <= 0.0)
-    if neg.size == 0:
-        return 0.0, float(m_eps)
-    lo = s[neg[-1]]
-    hi = s_max if neg[-1] + 1 >= s.size else s[neg[-1] + 1]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return float(hi), float(m_eps)

@@ -132,6 +132,37 @@ def test_run_unstable_dt(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_run_refuses_an_unstable_dt_before_writing(tmp_path, capsys):
+    # demo physics at 32^2, whose stability bound is 0.0102508
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[time]\ndt = 0.05\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: dt=0.05 exceeds the stability bound 0.0102508\n")
+    assert not out.exists()
+    # a horizon shorter than dt is one step of that length, below the bound
+    cfg.write_text("[time]\ndt = 0.05\nt_end = 0.005\n")
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+    assert "steps: 1" in _lines(capsys)
+
+
+def test_run_residual_column_spans_the_steps_between_rows(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY + "[output]\ncadence = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+    rows = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)
+    # 4 steps of 0.004: rows at steps 0, 2 and 4
+    np.testing.assert_allclose(rows[:, 0], [0.0, 0.008, 0.016], rtol=0, atol=1e-15)
+    reports = [diagnostics.EnergyReport(*row[:-1]) for row in rows]
+    assert rows[0, -1] == 0.0
+    for i in (1, 2):
+        pair = reports[i - 1:i + 1]
+        expect = diagnostics.energy_law_residual(pair, pair[1].t - pair[0].t)[0][0]
+        assert rows[i, -1] == expect
+
+
 # --- check-anisotropy ------------------------------------------------------
 
 def test_check_anisotropy_default(capsys):
@@ -436,6 +467,18 @@ def test_sweep_checks_every_grid_before_the_first_run(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err
     assert f"[time] {key} on the 16x16 sweep grid" in err
     assert nearest in err
+
+
+def test_sweep_checks_every_grid_dt_before_the_first_run(tiny_cfg, monkeypatch, capsys):
+    # dt = 0.004 is stable at 16^2 but not at 64^2 (bound 0.000640675)
+    def no_run(*args, **kwargs):
+        raise AssertionError("sweep stepped before checking every grid")
+
+    monkeypatch.setattr("achns.cli.run_integrator", no_run)
+    assert main(["sweep", "--config", tiny_cfg, "--modes", "16,64"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "runtime error: dt=0.004 exceeds the stability bound 0.000640675\n"
 
 
 def test_sweep_checks_every_width_before_the_first_run(tiny_cfg, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from achns.diagnostics import (
 )
 from achns.dynamics import MaterialLaws, Problem, StepperConfig, run
 from achns.errors import DomainError, HorizonError
-from achns.potential import PotentialSpec, f_eps, f_eps_min, f_eps_prime
+from achns.potential import PotentialSpec, f_eps, f_eps_prime
 from achns.profiles import (
     ConstantDensity,
     SinusoidalDensity,
@@ -148,8 +148,9 @@ def test_energy_components_lower_bounds():
     assert rep.e_kin >= 0 and rep.e_surf >= 0
     assert rep.d_visc >= 0 and rep.d_diff >= 0
     # the regularized well dips slightly below zero near its minima, so
-    # the sharp floor for the potential term is f_min * mass, not zero
-    f_min = f_eps_min(pb.spec)
+    # the floor for the potential term is f_min * mass, not zero (f_min
+    # from a dense scan of F_eps, within 1e-7 of its minimum)
+    f_min = f_eps(pb.spec, np.linspace(-4, 4, 20_001)).min()
     assert f_min < 0
     assert rep.e_pot >= f_min * rep.mass_rho - 1e-12
     assert rep.f_eps_prime_l6 >= 0

@@ -6,15 +6,12 @@ from achns.potential import (
     PotentialSpec,
     eps_threshold,
     f_eps,
-    f_eps_min,
     f_eps_prime,
     f_eps_second,
     f_log,
     f_log_prime,
     g_log,
     g_log_prime,
-    g_log_second,
-    quadratic_growth_constants,
     validate_eps,
 )
 
@@ -39,7 +36,6 @@ def test_closed_form_values():
     assert f_log_prime(SPEC, 0.0) == 0.0
     # convex-part slope at s = 0.9 with l2 = 1/2: (1/4) ln 19
     assert g_log_prime(SPEC, 0.9) == pytest.approx(0.25 * np.log(19.0), abs=1e-15)
-    assert g_log_second(SPEC, 0.9) == pytest.approx(0.5 / 0.19, abs=1e-14)
     # symmetry: even value, odd slope
     s = np.linspace(-0.95, 0.95, 101)
     np.testing.assert_allclose(g_log(SPEC, s), g_log(SPEC, -s), atol=1e-15)
@@ -87,6 +83,11 @@ def test_second_derivative_branches():
     outer = -1.0 + 0.5 / (0.1 * 1.9)
     for s in (0.95, 1.0, 3.0, -2.0, 50.0):
         assert f_eps_second(SPEC, s) == pytest.approx(outer, abs=1e-13)
+    # inside the knots: -l1 + G'' = -l1 + l2 / (1 - s^2)
+    assert f_eps_second(SPEC, 0.5) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert f_eps_second(SPEC, 0.9) == pytest.approx(-1.0 + 0.5 / 0.19, abs=1e-14)
+    s = np.linspace(-SPEC.knot, SPEC.knot, 257)
+    np.testing.assert_allclose(f_eps_second(SPEC, s), 0.5 / (1 - s * s) - 1.0, rtol=1e-14)
 
 
 def test_quadratic_tail_second_differences_constant():
@@ -170,21 +171,23 @@ def test_monotone_in_eps_beyond_knots():
 
 
 def test_floor_is_slightly_negative():
-    m = f_eps_min(SPEC)
+    s = np.linspace(-4, 4, 20_001)
+    m = f_eps(SPEC, s).min()
     assert -0.02 < m < 0.0
-    s = np.linspace(-10, 10, 10_001)
-    assert f_eps(SPEC, s).min() >= m - 1e-12
+    # beyond the scan the quadratic tails only climb
+    far = np.linspace(-10, 10, 10_001)
+    assert f_eps(SPEC, far).min() >= m - 1e-12
     # deeper wells for a stiffer mixture
-    m2 = f_eps_min(PotentialSpec(2.0, 0.5, 0.1))
-    assert m2 < -0.5
+    assert f_eps(PotentialSpec(2.0, 0.5, 0.1), s).min() < -0.5
 
 
 def test_quadratic_growth_constants():
-    c, m = quadratic_growth_constants(SPEC)
-    assert m == pytest.approx(0.25 * (0.5 / 0.19 - 1.0), abs=1e-13)
-    assert m > 0 and c > 0
-    assert abs(f_eps(SPEC, c) - m * c * c) < 1e-6
-    s = np.concatenate([np.linspace(c + 1e-9, 50, 5000), -np.linspace(c + 1e-9, 50, 5000)])
+    # F_eps(s) > m s^2 for |s| > c, with m half the s^2 coefficient of
+    # the outer branch, (l2 / (eps (2 - eps)) - l1) / 4; here c = 3.43
+    m = 0.25 * (0.5 / 0.19 - 1.0)
+    assert m == pytest.approx(0.40789, abs=1e-5)
+    s = np.linspace(4.0, 50.0, 5000)
+    s = np.concatenate([s, -s])
     assert np.all(f_eps(SPEC, s) > m * s * s)
-    with pytest.raises(DomainError):
-        quadratic_growth_constants(PotentialSpec(1.0, 0.5, 0.5))
+    # and the bound fails just inside the crossing
+    assert f_eps(SPEC, 3.4) < m * 3.4 ** 2
