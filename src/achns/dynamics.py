@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import AnisotropyModel, check_hypotheses
-from .basis import Jet, TorusGrid, vdot
+from .basis import Jet, TorusGrid
 from .errors import BlowUpError, DomainError, SolverError, StabilityError
 from .potential import PotentialSpec, f_eps_prime, validate_eps
 from .transport import (
@@ -170,27 +170,33 @@ def check_dt(problem: Problem, cfg: StepperConfig, h: float):
 
 # --- linear solves -----------------------------------------------------------
 
+def _dot(a, b) -> float:
+    return float(np.vdot(a, b).real)
+
+
 def _norm(a) -> float:
-    return float(np.sqrt(vdot(a, a)))
+    return float(np.sqrt(_dot(a, a)))
 
 
 def _start(apply_a, b, x0):
-    """The A-optimal multiple beta x0 of a start, beta = Re(x0^H b) /
-    (x0^H A x0), and its residual b - beta A x0, from one application of
-    A. Its A-norm error is never above that of x = 0, which it takes when
-    x0^H A x0 is not positive and finite. beta is real, so a start whose
-    column 0 is exactly conjugate-symmetric stays so."""
+    """The A-optimal multiple beta x0 of a start, beta = x0.b / x0.(A x0),
+    and its residual b - beta A x0, from one application of A. Its A-norm
+    error is never above that of x = 0, which it takes when x0.(A x0) is
+    not positive and finite."""
     ax = apply_a(x0)
-    curv = vdot(x0, ax)
+    curv = _dot(x0, ax)
     if not 0.0 < curv < np.inf:
         return np.zeros_like(b), b.copy()
-    beta = vdot(x0, b) / curv
+    beta = _dot(x0, b) / curv
     return beta * x0, b - beta * ax
 
 
 def _cg(apply_a, b, x0, rtol, label):
-    """Conjugate gradients on (possibly stacked) band coefficients, whose
-    inner products are those of the full plane (`basis.vdot`).
+    """Conjugate gradients for A x = b on (possibly stacked) arrays, with
+    the plain real dot product. The mass solves pass their grid form
+    (`_mass_apply`), so its norms are plain sums over the grid, and the
+    residual that rtol bounds is the one a caller recomputes from b, A
+    and the returned x.
 
     x0 is a guess at the solution, such as the solution of a nearby
     system; the iteration starts from its A-optimal multiple (`_start`),
@@ -213,13 +219,13 @@ def _cg(apply_a, b, x0, rtol, label):
     b = b * inv
     bnorm = _norm(b)
     x, r = _start(apply_a, b, x0 * inv)
-    rs = vdot(r, r)
+    rs = _dot(r, r)
     if np.sqrt(rs) <= rtol * bnorm:
         return x / inv
     p = r.copy()
     for _ in range(_MAX_CG_ITER):
         ap = apply_a(p)
-        den = vdot(p, ap)
+        den = _dot(p, ap)
         if den <= 0.0:
             # the mass operators are positive definite on their range, so
             # zero curvature puts p in their null space: a part of b that
@@ -238,12 +244,12 @@ def _cg(apply_a, b, x0, rtol, label):
         alpha = rs / den
         x += alpha * p
         r -= alpha * ap
-        rs_new = vdot(r, r)
+        rs_new = _dot(r, r)
         if np.sqrt(rs_new) <= rtol * bnorm:
             # the updated residual drifts from b - A x by rounding: x
             # stands only on the true one, else CG restarts from it
             r = b - apply_a(x)
-            rs = vdot(r, r)
+            rs = _dot(r, r)
             if np.sqrt(rs) <= rtol * bnorm:
                 return x / inv
             p = r.copy()
@@ -257,17 +263,61 @@ def _cg(apply_a, b, x0, rtol, label):
     )
 
 
+# (rho values, 1/sqrt(rho)) of the last density solved with: an
+# evaluation's three solves, and a pass's two evaluations, share one
+_weight = [None, None]
+
+
+def _inv_sqrt(rho_vals):
+    if _weight[0] is not rho_vals:
+        _weight[:] = rho_vals, 1.0 / np.sqrt(rho_vals)
+    return _weight[1]
+
+
 def _mass_apply(grid, project, rho_vals):
-    return lambda w: project(grid.to_spectral(rho_vals * grid.to_grid(w)))
+    """The grid form B y = w G(S(rho G(S(w y)))) of the mass operator
+    x -> P(rho x), with w = 1/sqrt(rho), S = P to_spectral (P = project)
+    and G = to_grid: B = T^t A T up to the factor N1 N2, where T y =
+    S(w y) maps every grid array onto the space of P. B is symmetric and
+    positive semidefinite, its null space the arrays T maps to 0."""
+    w = _inv_sqrt(rho_vals)
+
+    def apply_b(y):
+        v = grid.to_grid(project(grid.to_spectral(w * y)))
+        v *= rho_vals
+        v = grid.to_grid(project(grid.to_spectral(v)))
+        v *= w
+        return v
+
+    return apply_b
 
 
 def _mass_solve(grid, project, rho_vals, b, x0, label):
-    """x in the space of project with project(rho x) = project(b), started
-    from x0 as given (in that space) or, for None, from b / mean(rho)."""
-    b = project(b)
+    """x in the space of project with P(rho x) = P b, P = project,
+    started from x0 as given (in that space) or, for None, from
+    S(G(P b) / rho).
+
+    CG solves the grid form B y = c of `_mass_apply`, c = w G(P b),
+    started from y0 = G(x0) / w, which T maps to x0; x = T y. Its
+    iterates are those of CG on the band system preconditioned by
+    S(G(.) / rho), and rtol bounds the rho^-1-weighted grid norm of the
+    residual P b - P(rho x)."""
+    w = _inv_sqrt(rho_vals)
+    # a Leray projection leaves a compressive rounding, as large as b when
+    # b is a projected gradient (criterion 3's velocity solves); outside
+    # B's range, it would keep CG from meeting rtol and drive x up until
+    # the rounding of B x breaks the curvature. A second projection
+    # leaves only the rounding of that rounding.
+    b = project(project(b))
     if x0 is None:
-        x0 = project(b / float(rho_vals.mean()))
-    return _cg(_mass_apply(grid, project, rho_vals), b, x0, DEFAULT_RTOL, label)
+        c = y0 = grid.to_grid(b)
+        c *= w
+    else:
+        c, y0 = grid.to_grid(np.stack([b, x0]))
+        c *= w
+        y0 /= w
+    y = _cg(_mass_apply(grid, project, rho_vals), c, y0, DEFAULT_RTOL, label)
+    return project(grid.to_spectral(w * y))
 
 
 def solve_mu(problem: Problem, phi, rho: DensityField, *, x0=None) -> np.ndarray:

@@ -235,11 +235,13 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     r_history = []
     traj = deriv0 = seeds = None
     converged = False
-    for _ in range(max_iter):
+    for i in range(max_iter):
         traj = lambda_map(problem, frozen, state0, cfg, deriv0, seeds)
         # every pair starts at state0's u and phi, so every map's first
-        # derivative pair is the first map's; its evaluations seed the next
-        deriv0, seeds = (traj.pair.du[0], traj.pair.dphi[0]), traj.evals
+        # derivative pair is the first map's. A map's evaluations seed the
+        # next from map 2 on: map 1's, under the constant pair, start map 2
+        # worse than cold starts do
+        deriv0, seeds = (traj.pair.du[0], traj.pair.dphi[0]), traj.evals if i else None
         dist = trajectory_distance(g, traj.pair, frozen)
         r_worst = max(
             abs(residual_r_eps(g, st, frozen.u[k], problem.spec))

@@ -428,7 +428,10 @@ def test_picard_seeds_each_map_from_the_one_before(monkeypatch):
     cold, cold_per_map = _picard_applications_per_map(monkeypatch, seeded=False)
     assert rep.converged and cold.converged
     assert rep.iterations == cold.iterations >= 4
-    assert per_map[0] == cold_per_map[0]
+    # map 1's solutions, under the constant pair, would start map 2 worse
+    # than cold starts (1,392 against 1,232 applications unpreconditioned),
+    # so map 2 starts cold and the seeds start from map 3
+    assert per_map[:2] == cold_per_map[:2]
     assert all(n < per_map[0] for n in per_map[2:]), (per_map, cold_per_map)
     # the seeds move the trajectories only within the solver tolerance
     assert trajectory_distance(rep.trajectory.grid, rep.trajectory, cold.trajectory) <= 1e-11
