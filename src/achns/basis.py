@@ -26,60 +26,20 @@ a jet changes no plan and no bit.
 Transforms call scipy's pocketfft binding directly, with the arguments
 ``scipy.fft``'s wrappers pass for ``norm="forward"``, for the same bits
 without the wrappers' dispatch and checks: 8.5 of a 13.9 us ``rfft2``
-at 32^2. A scipy without that private binding gets the public functions.
+at 32^2. A scipy without that private binding fails at import, naming it.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
+# r2c(a, axes, forward, inorm, out, nthreads), c2r(a, axes, lastsize, forward,
+# inorm, out, nthreads), c2c as r2c. pocketfft's norm codes: 0 leaves a
+# transform unscaled, 1 divides it by sqrt(N), 2 by N; norm="forward" is
+# inorm 2 forward, 0 inverse
+from scipy.fft._pocketfft.pypocketfft import c2c as _c2c, c2r as _c2r, r2c as _r2c
 
 from .errors import DimensionError, DomainError
-
-
-# pocketfft's norm codes: 0 leaves a transform unscaled, 1 divides it by
-# sqrt(N), 2 by N; an inverse transform names its norm the other way round
-_NORMS = ("backward", "ortho", "forward")
-
-
-def _public_r2c(a, axes, forward, inorm, out, nthreads):
-    return (scipy.fft.rfftn if forward else scipy.fft.ihfftn)(
-        a, axes=axes, norm=_NORMS[inorm if forward else 2 - inorm], workers=nthreads)
-
-
-def _public_c2r(a, axes, lastsize, forward, inorm, out, nthreads):
-    return (scipy.fft.hfftn if forward else scipy.fft.irfftn)(
-        a, s=[a.shape[ax] for ax in axes[:-1]] + [lastsize], axes=axes,
-        norm=_NORMS[inorm if forward else 2 - inorm], workers=nthreads)
-
-
-def _public_c2c(a, axes, forward, inorm, out, nthreads):
-    return (scipy.fft.fftn if forward else scipy.fft.ifftn)(
-        a, axes=axes, norm=_NORMS[inorm if forward else 2 - inorm], workers=nthreads)
-
-
-def _bind_transforms():
-    """pocketfft's (r2c, c2r, c2c) if they take the call sites' arguments
-    and give the public functions' bits on a probe, else the public
-    functions behind the same signatures."""
-    public = _public_r2c, _public_c2r, _public_c2c
-    try:
-        from scipy.fft._pocketfft.pypocketfft import c2c, c2r, r2c
-        x = np.linspace(0.0, 1.0, 8)
-        probes = [(x, (-1,), True, 2, None, 1), (x + 0j, (-1,), 14, False, 0, None, 1),
-                  (x + 0j, (-1,), False, 0, None, 1)]
-        if all(np.array_equal(f(*args), g(*args))
-               for f, g, args in zip((r2c, c2r, c2c), public, probes)):
-            return r2c, c2r, c2c
-    except (ImportError, TypeError):
-        pass
-    return public
-
-
-# r2c(a, axes, forward, inorm, out, nthreads), c2r(a, axes, lastsize, forward,
-# inorm, out, nthreads), c2c as r2c; norm="forward" is inorm 2 forward, 0 inverse
-_r2c, _c2r, _c2c = _bind_transforms()
 
 
 @dataclass(frozen=True)

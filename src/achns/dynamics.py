@@ -161,10 +161,10 @@ def stability_bound(problem: Problem) -> float:
 
 
 def check_dt(problem: Problem, cfg: StepperConfig, h: float):
-    """Refuse a step h above the stability bound, unless the
-    configuration allows unstable steps."""
+    """Refuse a step h above the stability bound, past a rounding slack
+    of 1e-12 of the bound, unless the configuration allows unstable steps."""
     bound = stability_bound(problem)
-    if h > bound + 1e-15 and not cfg.allow_unstable_dt:
+    if h > bound * (1.0 + 1e-12) and not cfg.allow_unstable_dt:
         raise StabilityError(f"dt={h} exceeds the stability bound {bound:.6g}")
 
 
@@ -263,24 +263,14 @@ def _cg(apply_a, b, x0, rtol, label):
     )
 
 
-# (rho values, 1/sqrt(rho)) of the last density solved with: an
-# evaluation's three solves, and a pass's two evaluations, share one
-_weight = [None, None]
-
-
-def _inv_sqrt(rho_vals):
-    if _weight[0] is not rho_vals:
-        _weight[:] = rho_vals, 1.0 / np.sqrt(rho_vals)
-    return _weight[1]
-
-
 def _mass_apply(grid, project, rho_vals):
     """The grid form B y = w G(S(rho G(S(w y)))) of the mass operator
     x -> P(rho x), with w = 1/sqrt(rho), S = P to_spectral (P = project)
     and G = to_grid: B = T^t A T up to the factor N1 N2, where T y =
     S(w y) maps every grid array onto the space of P. B is symmetric and
-    positive semidefinite, its null space the arrays T maps to 0."""
-    w = _inv_sqrt(rho_vals)
+    positive semidefinite, its null space the arrays T maps to 0. Each
+    call forms its own w, so no array outlives the solve's density."""
+    w = 1.0 / np.sqrt(rho_vals)
 
     def apply_b(y):
         v = grid.to_grid(project(grid.to_spectral(w * y)))
@@ -302,7 +292,7 @@ def _mass_solve(grid, project, rho_vals, b, x0, label):
     iterates are those of CG on the band system preconditioned by
     S(G(.) / rho), and rtol bounds the rho^-1-weighted grid norm of the
     residual P b - P(rho x)."""
-    w = _inv_sqrt(rho_vals)
+    w = 1.0 / np.sqrt(rho_vals)
     # a Leray projection leaves a compressive rounding, as large as b when
     # b is a projected gradient (criterion 3's velocity solves); outside
     # B's range, it would keep CG from meeting rtol and drive x up until
@@ -498,11 +488,13 @@ def run(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     deriv = None
     n = 0
     t_end = cfg.t_end
-    while state.t < t_end - 1e-12 * max(1.0, t_end):
+    # done within a relative 1e-12 of t_end, for the rounding of the summed steps
+    t_last = t_end - 1e-12 * t_end
+    while state.t < t_last:
         h = min(cfg.dt, t_end - state.t)
         state, deriv = step(problem, state, cfg, dt=h, deriv0=deriv)
         n += 1
-        if n % cadence == 0 or state.t >= t_end - 1e-12 * max(1.0, t_end):
+        if n % cadence == 0 or state.t >= t_last:
             for sink in sinks:
                 sink(state)
     return RunSummary(state, n)

@@ -104,14 +104,12 @@ def constant_pair(grid: TorusGrid, u, phi, dt: float, n_steps: int) -> FrozenPai
     from t=0, the canonical first iterate."""
     if n_steps < 1:
         raise DomainError("need at least one step")
-    reps = n_steps + 1
-    zero_u = np.zeros_like(u)
-    zero_p = np.zeros_like(phi)
-    return FrozenPair(
-        grid, dt,
-        np.stack([u] * reps), np.stack([zero_u] * reps),
-        np.stack([phi] * reps), np.stack([zero_p] * reps),
-    )
+
+    def samples(field):  # a read-only view of one sample, not n_steps + 1 copies
+        return np.broadcast_to(field, (n_steps + 1,) + np.shape(field))
+
+    return FrozenPair(grid, dt, samples(u), samples(np.zeros_like(u)),
+                      samples(phi), samples(np.zeros_like(phi)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,8 @@ def picard(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
     n_steps = int(round(t_tilde / cfg.dt))
-    # constant_pair stacks n_steps + 1 samples, a count no array can exceed
+    # constant_pair's views span n_steps + 1 samples, a count no array shape
+    # can exceed
     if n_steps + 1 > sys.maxsize:
         raise DomainError(f"horizon must be at most {sys.maxsize - 1} steps, got "
                           f"t_tilde={t_tilde:g} / dt={cfg.dt:g} = {n_steps:.6g} steps")

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -345,34 +343,12 @@ def test_jet_fields_are_those_of_the_public_transforms(monkeypatch, lengths, n_g
 
 
 def test_transforms_call_pocketfft_directly():
-    # a scipy that moves or changes its private binding makes basis fall
-    # back to the public functions, several times slower at 32^2
+    # the private binding, not a wrapper around it: the public functions'
+    # dispatch cost 8.5 of a 13.9 us rfft2 at 32^2
     from scipy.fft._pocketfft import pypocketfft
 
     assert (basis._r2c, basis._c2r, basis._c2c) == (pypocketfft.r2c, pypocketfft.c2r,
                                                     pypocketfft.c2c)
-
-
-def test_public_fallback_gives_the_same_bits(monkeypatch):
-    # without the private binding, basis binds the public functions
-    # behind its signatures, and they give the same bits
-    rng = np.random.default_rng(12)
-    grid = TorusGrid((2 * np.pi, 4 * np.pi), (16, 32))
-    vals = rng.standard_normal((3,) + grid.n_grid)
-    coef = grid.to_spectral(vals)
-    back = grid.to_grid(coef)
-    jet = Jet(grid, coef)
-    jet.extend(7)
-    monkeypatch.setitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", None)
-    public = basis._bind_transforms()
-    assert public == (basis._public_r2c, basis._public_c2r, basis._public_c2c)
-    for name, fn in zip(("_r2c", "_c2r", "_c2c"), public):
-        monkeypatch.setattr(basis, name, fn)
-    assert np.array_equal(grid.to_spectral(vals), coef)
-    assert np.array_equal(grid.to_grid(coef), back)
-    again = Jet(grid, coef)
-    again.extend(7)
-    assert all(np.array_equal(a, b) for a, b in zip(again.fields, jet.fields))
 
 
 def test_to_spectral_takes_integer_grids():

@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -1015,6 +1016,17 @@ def test_step_stability_guard():
     assert np.all(np.isfinite(np.abs(new.u)))
 
 
+def test_check_dt_slack_is_relative_to_the_bound():
+    # on a 1e-3 box the bound is 6.6e-18, below any absolute slack of
+    # rounding: 76 times the bound is refused, and the bound accepted
+    prob = parse_config("[domain]\nl1 = 0.001\nl2 = 0.001\n").problem()
+    bound = stability_bound(prob)
+    assert bound < 1e-17
+    with pytest.raises(StabilityError, match=f"dt=5e-16 exceeds the stability bound {bound:.6g}"):
+        dynamics.check_dt(prob, StepperConfig(dt=5e-16, t_end=1.0), 5e-16)
+    dynamics.check_dt(prob, StepperConfig(dt=bound, t_end=1.0), bound)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_blowup_detection():
     prob = make_problem(
@@ -1051,6 +1063,35 @@ def test_run_partial_final_step():
     out = run(prob, u_taylor_green(g, 0.2), phi_constant(g, 0.1), cfg)
     assert out.n_steps == 3
     assert out.final_state.t == pytest.approx(2.5e-3, abs=1e-12)
+
+
+def test_run_steps_to_a_horizon_below_the_rounding_of_unit_time():
+    prob = parse_config("").problem()
+    g = prob.grid
+    seen = []
+    out = run(prob, u_zero(g), phi_constant(g, 0.1), StepperConfig(dt=0.004, t_end=1e-13),
+              sinks=[seen.append])
+    assert out.n_steps == 1
+    assert out.final_state.t == 1e-13
+    assert [s.t for s in seen] == [0.0, 1e-13]
+
+
+def test_a_dropped_state_frees_its_density():
+    # nothing keeps the last density the mass solves saw
+    prob = make_problem(n=16)
+    g = prob.grid
+    u0, phi0 = u_taylor_green(g, 0.3), phi_constant(g, 0.1)
+    state = make_state(prob, u0, phi0)
+    ref = weakref.ref(state.rho.values)
+    del state
+    gc.collect()
+    assert ref() is None
+    state = make_state(prob, u0, phi0)
+    new, _ = step(prob, state, StepperConfig(dt=1e-3, t_end=1e-3))
+    refs = [weakref.ref(state.rho.values), weakref.ref(new.rho.values)]
+    del state, new
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_run_deterministic_repeat():

@@ -99,6 +99,20 @@ def test_constant_pair_records_are_steady():
     assert np.array_equal(pair.times, 1e-3 * np.arange(5))
 
 
+def test_a_long_constant_pair_shares_one_sample_of_memory():
+    pb = make_problem(n=8, rho=ConstantDensity(1.2))
+    g = pb.grid
+    st = pb.initial_state(u_taylor_green(g, 0.2), phi_constant(g, 0.1))
+    pair = constant_pair(g, st.u, st.phi, 1e-3, 10_000)
+    assert pair.n_samples == 10_001
+    for samples, first in ((pair.u, st.u), (pair.phi, st.phi)):
+        assert np.shares_memory(samples[0], samples[-1])
+        assert np.array_equal(samples[-1], first)
+    for slopes in (pair.du, pair.dphi):
+        assert np.shares_memory(slopes[0], slopes[-1]) and not slopes.any()
+    assert not any(a.flags.writeable for a in (pair.u, pair.du, pair.phi, pair.dphi))
+
+
 # --- transport remainder ------------------------------------------------------
 
 def test_residual_zero_cases():
