@@ -13,8 +13,8 @@ prints one line per run:
   0.08, seed 7), over the converged trajectory (u, du, phi, dphi) and
   the t, mu, rho and displacement of every state;
 * ``grid128``: 3 demo steps on a 128^2 grid at dt = 0.5 x the stability
-  bound (seed 7), over the final state. Its feet take Taylor orders 3-4,
-  where the 32^2 runs take 5-7.
+  bound (seed 7), over the final state. Its feet take Taylor orders 2-3,
+  where the 32^2 runs take 4-5.
 
 Every coefficient array (u, phi, mu, du, dphi) is hashed as its grid
 values ``grid.to_grid(c)``, so the digests do not depend on how the

@@ -20,8 +20,8 @@ conjugate mirror, so inner products count it twice (`vdot`).
 Vector fields are stacked along a leading axis of length 2.
 
 A `Jet` keeps a field's Taylor derivative fields for repeated off-grid
-evaluation; ``eval_at`` plans every call as if it built them afresh, so
-a jet changes no plan and no bit.
+evaluation; ``eval_at`` takes each order from the coefficients and plans
+every call as if the jet were empty, so a jet changes no plan and no bit.
 
 Transforms call scipy's pocketfft binding directly, with the arguments
 ``scipy.fft``'s wrappers pass for ``norm="forward"``, for the same bits
@@ -280,43 +280,43 @@ class TorusGrid:
         weight = np.where(np.arange(kc2 + 1) > 0, 2.0, 1.0)
         return np.einsum("...jp,jp->...p", (stack * weight) @ e2, e1).real
 
-    def _taylor_order(self, delta):
-        """Least order M with s^(M+1)/(M+1)! <= 2^-53 for offsets delta
-        (P, 2) from the nodes, where s = sum_i K_i (2 pi/L_i) max|delta_i|
-        bounds |k.delta| over the band.
-
-        Offsets of at most half a cell keep s below 2 pi/3. None when s
-        is not: points so far out that rounding breaks the split, or not
-        finite.
-        """
-        reach = np.max(np.abs(delta), axis=0, initial=0.0)
-        kc1, kc2 = self.cutoff
-        s = (kc1 * (2.0 * np.pi / self.lengths[0]) * reach[0]
-             + kc2 * (2.0 * np.pi / self.lengths[1]) * reach[1])
-        if not s < 2.0 * np.pi / 3.0:
+    def _taylor_order(self, delta, coef):
+        """Least order M with sum_k |c_k| a_k^(M+1)/(M+1)! <= 2^-53 ||c||_1,
+        over the full plane, for every field of coef (..., 2K1+1, K2+1) at
+        offsets delta (P, 2) from the nodes, where a_k = sum_i |k_i|
+        max|delta_i| bounds |k.delta|; never above the order of the band's
+        corner alone. None when a_k reaches 2 pi/3 on the band, as offsets
+        of half a cell do not: points so far out that rounding breaks the
+        split, or not finite."""
+        # column by column: a max over axis 0 of (P, 2) is 20x slower, 0.5 ms at 128^2
+        reach = [np.abs(delta[:, i]).max(initial=0.0) for i in (0, 1)]
+        a = np.abs(self.k1) * reach[0] + self.k2 * reach[1]
+        if not a.max() < 2.0 * np.pi / 3.0:
             return None
-        order, term = 0, s
-        while term > 2.0**-53:
+        weight = np.abs(coef.reshape((-1,) + self.band_shape)) * np.where(self.k2 > 0, 2.0, 1.0)
+        order, term, bound = 0, a, 2.0**-53 * weight.sum(axis=(-2, -1))
+        while np.any((weight * term).sum(axis=(-2, -1)) > bound):
             order += 1
-            term *= s / (order + 1)
+            term = term * (a / (order + 1))
         return order
 
-    def _plan(self, points):
+    def _plan(self, points, coef):
         """Nearest nodes (P, 2; unreduced, as floats), offsets (P, 2) and
-        the Taylor order for points, or None for the order when the
-        dense sum takes fewer operations.
+        the Taylor order for points and the fields coef, or None for the
+        order when the dense sum takes fewer operations.
 
         The Taylor path costs (M+1)(M+2)/2 inverse FFTs of N1 N2 log2(N1 N2)
         operations and as many terms per point; the dense sum is priced at
         the whole band's (2K1+1)(2K2+1) terms per point. Each call is priced
         on purpose as if no `Jet` held fields, so a jet moves no plan and no
-        bit. Timed at 8^2 to 64^2 and reaches of 1e-6 to 0.5 cells, it chose
-        the faster method everywhere but 16^2 at order 2.
+        bit. Timed on 2 vCPUs at 8^2 to 64^2, reaches of 1e-6 to 0.5 cells and
+        two spectra, it chose the faster method or one within 15%, but at 16^2
+        orders 2-3, 32^2 order 7 and 64^2 orders 9-15 (dense 1.3-3.6x faster).
         """
         h = np.array(self.lengths) / np.array(self.n_grid)
         nodes = np.rint(points / h)
         delta = points - nodes * h
-        order = self._taylor_order(delta)
+        order = self._taylor_order(delta, coef)
         if order is not None:
             n = self.n_grid[0] * self.n_grid[1]
             kc1, kc2 = self.cutoff
@@ -355,13 +355,13 @@ class TorusGrid:
         over the band.
 
         Each call takes whichever of two methods needs fewer operations
-        for its grid and points (``_plan``):
+        for its grid, points and fields (``_plan``):
 
         * Taylor: every point is its nearest collocation node plus an
-          offset delta, and the field is expanded about the node to the
-          least order M with s^(M+1)/(M+1)! <= 2^-53, where
-          s = sum_i K_i (2 pi/L_i) max|delta_i|. Since |k.delta| <= s on
-          the band, the remainder is at most ||c||_1 2^-53. The
+          offset delta, and the fields are expanded about the node to the
+          least order M at which each field's remainder, bounded mode by
+          mode by |exp(ix) - sum_{d<=M} (ix)^d/d!| <= |x|^(M+1)/(M+1)! for
+          real x = k.delta, is at most 2^-53 ||c||_1 (``_taylor_order``). The
           (M+1)(M+2)/2 derivative fields cost batched inverse FFTs, so
           this wins for points near the grid, such as the feet of
           characteristics over one step. A jet keeps its fields for
@@ -376,7 +376,7 @@ class TorusGrid:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
             raise DimensionError("points must have shape (P, 2)")
-        nodes, delta, order = self._plan(points)
+        nodes, delta, order = self._plan(points, jet.coef)
         if order is None:
             vals = self._eval_dense(jet.coef.reshape((-1,) + self.band_shape), points)
         else:

@@ -17,7 +17,6 @@ import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .anisotropy import AnisotropyModel, gamma_sq
 from .basis import TorusGrid
@@ -260,6 +259,7 @@ def bihari_check(bound: BihariBound | None = None, n_trials: int = 20,
     horizon. Returns True when every integrated solution stays below
     the majorant up to 1e-6 relative slack.
     """
+    from scipy.integrate import solve_ivp  # 25 MiB of imports that only this check needs
     if n_trials < 0:
         raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
     cases = [] if bound is None else [bound]

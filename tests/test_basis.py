@@ -469,7 +469,7 @@ def test_eval_at_taylor_path_on_stepper_like_points(n, reach):
     mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
     pts = mesh + rng.uniform(-reach, reach, mesh.shape)
     pts += np.array(grid.lengths) * rng.integers(-2, 3, size=mesh.shape)
-    assert grid._plan(pts)[2] is not None
+    assert grid._plan(pts, coef)[2] is not None
     assert _relative_gap(grid.eval_at(coef, pts), grid._eval_dense(coef, pts)) <= 1e-13
 
 
@@ -478,17 +478,17 @@ def test_eval_at_arbitrary_points_take_the_dense_path():
     grid = make_grid(32)
     coef = _band_coef(grid, rng)
     pts = rng.uniform(-10, 10, size=(grid.n_grid[0] * grid.n_grid[1], 2))
-    nodes, delta, order = grid._plan(pts)
+    nodes, delta, order = grid._plan(pts, coef)
     assert order is None
     np.testing.assert_array_equal(grid.eval_at(coef, pts), grid._eval_dense(coef, pts))
     # the remainder bound holds at any offset from the nodes, even where
     # the dense sum is cheaper
-    taylor = grid._eval_taylor(Jet(grid, coef[None]), nodes, delta, grid._taylor_order(delta))[0]
+    taylor = grid._eval_taylor(Jet(grid, coef[None]), nodes, delta, grid._taylor_order(delta, coef))[0]
     assert _relative_gap(taylor, grid._eval_dense(coef, pts)) <= 1e-13
     # so far out that rounding breaks the split into node and offset, or
     # not finite (a blowing-up trace): dense as well
     for far in (1e200, np.nan):
-        assert grid._plan(np.full((3, 2), far))[2] is None
+        assert grid._plan(np.full((3, 2), far), coef)[2] is None
 
 
 @pytest.mark.parametrize("reach", [1e-3, 0.3])
@@ -498,7 +498,7 @@ def test_eval_at_stacked_fields(reach):
     coef = np.stack([_band_coef(grid, rng), _band_coef(grid, rng)])
     mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
     pts = mesh + rng.uniform(-reach, reach, mesh.shape)
-    assert (grid._plan(pts)[2] is None) == (reach > 0.1)
+    assert (grid._plan(pts, coef)[2] is None) == (reach > 0.1)
     vals = grid.eval_at(coef, pts)
     assert vals.shape == (2, len(pts))
     dense = grid._eval_dense(coef, pts)
@@ -513,10 +513,70 @@ def test_eval_at_on_the_nodes_is_order_zero():
     grid = TorusGrid((1.0, 3.0), (64, 32))
     coef = _band_coef(grid, rng)
     pts = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
-    assert grid._plan(pts)[2] == 0
+    assert grid._plan(pts, coef)[2] == 0
     vals = grid.eval_at(coef, pts)
     assert _relative_gap(vals, grid._eval_dense(coef, pts)) <= 1e-13
     assert _relative_gap(vals, grid.to_grid(coef).ravel()) <= 1e-13
+
+
+def _corner_order(grid, delta):
+    """The order a coefficient at the band's corner needs: least M with
+    s^(M+1)/(M+1)! <= 2^-53, s = sum_i K_i (2 pi/L_i) max|delta_i|."""
+    reach = np.max(np.abs(delta), axis=0)
+    s = sum(kc * (2 * np.pi / ell) * r for kc, ell, r in zip(grid.cutoff, grid.lengths, reach))
+    order, term = 0, s
+    while term > 2.0**-53:
+        order += 1
+        term *= s / (order + 1)
+    return order
+
+
+def _feet_at_128(seed):
+    """Stepper-like feet at 128^2, their offsets from the nodes, the order
+    the band's corner needs there, a field of the modes |k_i| <= 4 only and
+    one of the corner mode (K1, K2) only."""
+    rng = np.random.default_rng(seed)
+    grid = TorusGrid((2 * np.pi, 4 * np.pi), (128, 128))
+    mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
+    pts = mesh + rng.uniform(-1e-5, 1e-5, mesh.shape)
+    low = _band_coef(grid, rng)
+    low[(np.abs(grid.k1_int)[:, None] > 4) | (np.arange(grid.band_shape[1]) > 4)[None, :]] = 0
+    corner = np.zeros(grid.band_shape, dtype=complex)
+    corner[grid.cutoff] = 0.5j
+    delta = grid._plan(pts, low)[1]
+    return grid, pts, delta, _corner_order(grid, delta), low, corner
+
+
+def _assert_taylor_matches_dense(grid, coef, pts):
+    """The plan takes the Taylor path at the order the coefficients need,
+    and it agrees with the dense sum to 1e-13 relative."""
+    _, delta, order = grid._plan(pts, coef)
+    assert order == grid._taylor_order(delta, coef)
+    dense = grid._eval_dense(coef.reshape((-1,) + grid.band_shape), pts)
+    assert _relative_gap(grid.eval_at(coef, pts), dense.reshape(coef.shape[:-2] + (-1,))) <= 1e-13
+
+
+def test_low_modes_take_a_lower_taylor_order_than_the_band_corner():
+    grid, pts, delta, top, low, _ = _feet_at_128(41)
+    assert grid._taylor_order(delta, low) < top
+    _assert_taylor_matches_dense(grid, low, pts)
+
+
+def test_a_field_at_the_band_corner_keeps_the_corner_order():
+    # neither lower, which would break the remainder bound, nor higher
+    grid, pts, delta, top, _, corner = _feet_at_128(43)
+    assert grid._taylor_order(delta, corner) == top
+    _assert_taylor_matches_dense(grid, corner, pts)
+
+
+def test_a_stack_takes_the_highest_order_of_its_fields():
+    # each field is held to its own ||c||_1: one norm for the whole stack
+    # would let the low field's larger norm hide the corner field's need
+    grid, pts, delta, top, low, corner = _feet_at_128(47)
+    assert grid._taylor_order(delta, low) < top
+    for stack in (np.stack([low, corner]), np.stack([corner, low])):
+        assert grid._taylor_order(delta, stack) == top
+        _assert_taylor_matches_dense(grid, stack, pts)
 
 
 @pytest.mark.parametrize("n", [16, 32, 128])
@@ -532,7 +592,7 @@ def test_jet_evaluations_equal_fresh_calls_bitwise(n, stacked, ascending):
         coef = np.stack([coef, _band_coef(grid, rng)])
     mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
     point_sets = [mesh + rng.uniform(-r, r, mesh.shape) for r in (0.0, 1e-12, 1e-7, 1e-5)]
-    orders = [grid._plan(pts)[2] for pts in point_sets]
+    orders = [grid._plan(pts, coef)[2] for pts in point_sets]
     assert orders[0] == 0 and all(a < b for a, b in zip(orders, orders[1:]))
     jet = Jet(grid, coef)
     for pts in point_sets if ascending else point_sets[::-1]:
@@ -554,7 +614,7 @@ def test_eval_at_on_nodes_in_grid_order_reads_the_jet_in_place(monkeypatch, n, s
     mesh = np.stack(grid.mesh, axis=-1).reshape(-1, 2)
     pts = mesh + rng.uniform(-1e-4, 1e-4, mesh.shape)
     perm = rng.permutation(len(pts))
-    assert grid._plan(pts)[2] is not None
+    assert grid._plan(pts, coef)[2] is not None
     take, gathers = np.take, []
 
     def counted(*args, **kwargs):

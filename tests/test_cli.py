@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -322,6 +324,16 @@ def test_bihari_check(capsys):
                  "--check", "4"]) == 0
     out = capsys.readouterr().out
     assert "check: pass (4 trials)" in out
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # solve_ivp loads only when bihari --check runs: its 25 MiB of imports
+    # would otherwise count toward every run's peak memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diagnostics.__file__)))
+    code = "import sys, achns.cli; print(sorted(m for m in sys.modules if 'scipy.integrate' in m))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_bihari_bad_args(capsys):

@@ -233,7 +233,7 @@ def test_stepper_evaluations_match_the_dense_sum(n, dt, monkeypatch):
     pts = grid_pts(grid)
     feet = trace_points(grid, rec, pts, (dt,), 0.0)[0]
     disp = compose_displacement(grid, None, feet)
-    assert grid._plan(feet)[2] is not None
+    assert grid._plan(feet, grid.to_spectral(u))[2] is not None
     vel = grid.eval_at(Jet(grid, grid.to_spectral(u)), feet).T
     twice = compose_displacement(grid, Jet(grid, grid.to_spectral(disp)), feet)
 
