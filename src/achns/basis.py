@@ -17,7 +17,10 @@ bit: ``to_spectral`` mirrors it, and ``grad``, ``div``,
 ``valid_mode_counts`` keep it so. A column k2 > 0 also stands for its
 conjugate mirror, so inner products count it twice (`vdot`).
 
-Vector fields are stacked along a leading axis of length 2.
+Vector fields are stacked along a leading axis of length 2. A Galerkin
+space cuts the band, or its Leray projection, to the first n modes of
+``mode_list`` (`TorusGrid.project`); `TorusGrid.project_grid` takes grid
+values through one on pocketfft's half plane, without the band.
 
 A `Jet` keeps a field's Taylor derivative fields for repeated off-grid
 evaluation; ``eval_at`` takes each order from the coefficients and plans
@@ -166,19 +169,22 @@ class TorusGrid:
     def _pads(self):
         return {}
 
+    def _buffer(self, shape):
+        """The `_pad` buffer of one spectrum shape, zero outside the band."""
+        out = self._pads.get(shape)
+        if out is None:
+            out = self._pads[shape] = np.zeros(shape, dtype=complex)
+        return out
+
     def _pad(self, coef, n_cols):
         """Band coefficients (..., 2K1+1, K2+1) as the columns 0..n_cols-1
         of the full spectrum (..., N1, n_cols), zero outside the band. Every
         call of a shape returns the same buffer, as a fresh one doubled the
         time of a 128^2 stack's inverse transform: read it, keep none (fresh
         ones also cost grid128 step_ms 173.6 -> 190.5 ms on a 2-vCPU host).
-        pocketfft reads it directly, without scipy.fft's dispatch (module
-        docstring)."""
+        `project_grid` shares it and restores its zeros outside the band."""
         n1, kc1 = self.n_grid[0], self.cutoff[0]
-        shape = coef.shape[:-2] + (n1, n_cols)
-        out = self._pads.get(shape)
-        if out is None:
-            out = self._pads[shape] = np.zeros(shape, dtype=complex)
+        out = self._buffer(coef.shape[:-2] + (n1, n_cols))
         out[..., :kc1 + 1, :coef.shape[-1]] = coef[..., :kc1 + 1, :]
         out[..., n1 - kc1:, :coef.shape[-1]] = coef[..., kc1 + 1:, :]
         return out
@@ -204,18 +210,20 @@ class TorusGrid:
 
     @cached_property
     def _leray_factors(self):
-        """k / |k|^2 as a (2, 2K1+1, K2+1) stack, 0 at the zero mode."""
+        """Complex k1, k2 and the (2, 2K1+1, K2+1) stack k / |k|^2, 0 at the zero
+        mode: numpy casts real ones to complex itself, same bits 15% slower."""
         ksq = self.k_sq.copy()
         ksq[0, 0] = 1.0  # zero mode handled by k being zero
-        return np.stack(np.broadcast_arrays(self.k1 / ksq, self.k2 / ksq))
+        factors = np.stack(np.broadcast_arrays(self.k1 / ksq, self.k2 / ksq))
+        return tuple(a.astype(complex) for a in (self.k1, self.k2, factors))
 
     def leray_project(self, vcoef):
         """Remove the compressive part: u_k <- (I - k k^T/|k|^2) u_k.
 
         The zero mode is preserved; idempotent.
         """
-        kdotu = self.k1 * vcoef[0] + self.k2 * vcoef[1]
-        return vcoef - self._leray_factors * kdotu
+        k1, k2, factors = self._leray_factors
+        return vcoef - factors * (k1 * vcoef[0] + k2 * vcoef[1])
 
     @cached_property
     def valid_mode_counts(self):
@@ -246,6 +254,30 @@ class TorusGrid:
         above = min(n for n in self.valid_mode_counts if n > n_modes)
         raise DomainError(f"n_modes={n_modes} keeps some k without -k; the nearest "
                           f"valid counts are {below} and {above}")
+
+    def project(self, coef, leray=False, n_modes=None):
+        """Band coefficients onto a Galerkin space: the Leray projection of a
+        2-vector stack when leray, then `project_scalar` to n_modes."""
+        return self.project_scalar(self.leray_project(coef) if leray else coef, n_modes)
+
+    def project_grid(self, values, leray=False, n_modes=None):
+        """to_grid(project(to_spectral(values), leray, n_modes)) bit for bit,
+        without the band gather and pad: r2c writes into the `_pad` buffer of
+        its shape, zeroed outside the band and mirrored in column 0 in place.
+        A space that projects within the band copies the two row blocks, k1
+        >= 0 and k1 < 0, out and back: in place on the strided blocks, the
+        Leray factors took twice as long at 32^2."""
+        (n1, n2), (kc1, kc2) = self.n_grid, self.cutoff
+        buf = self._buffer(values.shape[:-2] + (n1, n2 // 2 + 1))
+        _r2c(values, (-2, -1), True, 2, buf, 1)
+        buf[..., kc2 + 1:] = 0
+        buf[..., kc1 + 1:n1 - kc1, :] = 0
+        np.conjugate(buf[..., kc1:0:-1, 0], out=buf[..., n1 - kc1:, 0])
+        if leray or n_modes is not None:
+            top, bottom = buf[..., :kc1 + 1, :kc2 + 1], buf[..., n1 - kc1:, :kc2 + 1]
+            band = self.project(np.concatenate([top, bottom], axis=-2), leray, n_modes)
+            top[...], bottom[...] = band[..., :kc1 + 1, :], band[..., kc1 + 1:, :]
+        return _c2r(buf, (-2, -1), n2, False, 0, None, 1)
 
     def project_scalar(self, coef, n_modes):
         """Keep the first n_modes of mode_list in a field or in each field

@@ -21,6 +21,7 @@ self-convergence.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -107,8 +108,9 @@ class Problem:
 
     n_modes_u and n_modes_phi set the Galerkin spaces of u and phi: the
     lowest n modes of the retained band (`TorusGrid.project_scalar`),
-    None for the whole band, u's divergence-free. Every right-hand side,
-    mass operator and initial field goes through project_u or project_phi."""
+    None for the whole band, u's divergence-free. Every right-hand side, mass
+    operator and initial field goes through project_u or project_phi, partials
+    of `TorusGrid.project` whose keywords name the space."""
 
     grid: TorusGrid
     model: AnisotropyModel
@@ -134,12 +136,9 @@ class Problem:
         if not lo > 0:
             raise DomainError("initial density must be strictly positive")
         object.__setattr__(self, "report", report)
-
-    def project_u(self, coef):
-        return self.grid.project_scalar(self.grid.leray_project(coef), self.n_modes_u)
-
-    def project_phi(self, coef):
-        return self.grid.project_scalar(coef, self.n_modes_phi)
+        project = self.grid.project
+        object.__setattr__(self, "project_u", partial(project, leray=True, n_modes=self.n_modes_u))
+        object.__setattr__(self, "project_phi", partial(project, n_modes=self.n_modes_phi))
 
     def initial_state(self, u0_grid, phi0_grid) -> FlowState:
         g = self.grid
@@ -263,19 +262,19 @@ def _cg(apply_a, b, x0, rtol, label):
     )
 
 
-def _mass_apply(grid, project, rho_vals):
-    """The grid form B y = w G(S(rho G(S(w y)))) of the mass operator
-    x -> P(rho x), with w = 1/sqrt(rho), S = P to_spectral (P = project)
-    and G = to_grid: B = T^t A T up to the factor N1 N2, where T y =
-    S(w y) maps every grid array onto the space of P. B is symmetric and
-    positive semidefinite, its null space the arrays T maps to 0. Each
-    call forms its own w, so no array outlives the solve's density."""
+def _mass_apply(grid, space, rho_vals):
+    """The grid form B y = w G(S(rho G(S(w y)))) of x -> P(rho x), w =
+    1/sqrt(rho), S = P to_spectral (P the space the `TorusGrid.project`
+    keywords space name), G = to_grid, each G S one `TorusGrid.project_grid`:
+    B = T^t A T up to the factor N1 N2, T y = S(w y) mapping every grid array
+    onto the space of P. B is symmetric positive semidefinite, its null space
+    what T maps to 0. Each call forms its own w, outliving no density."""
     w = 1.0 / np.sqrt(rho_vals)
 
     def apply_b(y):
-        v = grid.to_grid(project(grid.to_spectral(w * y)))
+        v = grid.project_grid(w * y, **space)
         v *= rho_vals
-        v = grid.to_grid(project(grid.to_spectral(v)))
+        v = grid.project_grid(v, **space)
         v *= w
         return v
 
@@ -283,15 +282,15 @@ def _mass_apply(grid, project, rho_vals):
 
 
 def _mass_solve(grid, project, rho_vals, b, x0, label):
-    """x in the space of project with P(rho x) = P b, P = project,
-    started from x0 as given (in that space) or, for None, from
-    S(G(P b) / rho).
+    """x in the space of project (a Problem's project_u or project_phi)
+    with P(rho x) = P b, P = project, started from x0 as given (in that
+    space) or, for None, from S(G(P b) / rho).
 
-    CG solves the grid form B y = c of `_mass_apply`, c = w G(P b),
-    started from y0 = G(x0) / w, which T maps to x0; x = T y. Its
-    iterates are those of CG on the band system preconditioned by
-    S(G(.) / rho), and rtol bounds the rho^-1-weighted grid norm of the
-    residual P b - P(rho x)."""
+    CG solves the grid form B y = c of `_mass_apply`, built from project's
+    keywords, c = w G(P b), started from y0 = G(x0) / w, which T maps to x0;
+    x = T y, so the solve enters and leaves on the band. Its iterates are
+    those of CG on the band system preconditioned by S(G(.) / rho), and rtol
+    bounds the rho^-1-weighted grid norm of the residual P b - P(rho x)."""
     w = 1.0 / np.sqrt(rho_vals)
     # a Leray projection leaves a compressive rounding, as large as b when
     # b is a projected gradient (criterion 3's velocity solves); outside
@@ -306,7 +305,7 @@ def _mass_solve(grid, project, rho_vals, b, x0, label):
         c, y0 = grid.to_grid(np.stack([b, x0]))
         c *= w
         y0 /= w
-    y = _cg(_mass_apply(grid, project, rho_vals), c, y0, DEFAULT_RTOL, label)
+    y = _cg(_mass_apply(grid, project.keywords, rho_vals), c, y0, DEFAULT_RTOL, label)
     return project(grid.to_spectral(w * y))
 
 
@@ -486,15 +485,14 @@ def run(problem: Problem, u0_grid, phi0_grid, cfg: StepperConfig,
     for sink in sinks:
         sink(state)
     deriv = None
-    n = 0
     t_end = cfg.t_end
-    # done within a relative 1e-12 of t_end, for the rounding of the summed steps
-    t_last = t_end - 1e-12 * t_end
-    while state.t < t_last:
+    # the least count of steps to t_end within a relative 1e-12, so rounding adds
+    # no sliver step; the last step is shorter when dt does not divide t_end
+    n_steps = int(np.ceil((t_end - 1e-12 * t_end) / cfg.dt))
+    for n in range(1, n_steps + 1):
         h = min(cfg.dt, t_end - state.t)
         state, deriv = step(problem, state, cfg, dt=h, deriv0=deriv)
-        n += 1
-        if n % cadence == 0 or state.t >= t_last:
+        if n % cadence == 0 or n == n_steps:
             for sink in sinks:
                 sink(state)
-    return RunSummary(state, n)
+    return RunSummary(state, n_steps)

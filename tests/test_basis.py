@@ -386,6 +386,46 @@ def test_project_scalar_accepts_exactly_the_counts_closed_under_negation(lengths
 
 
 @pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
+def test_leray_takes_the_bits_of_its_real_factors(lengths, n_grid):
+    # the factors are stored complex only to skip numpy's cast of real ones
+    grid = TorusGrid(lengths, n_grid)
+    v = grid.to_spectral(np.random.default_rng(9).standard_normal((2,) + n_grid))
+    v[:, 1, 1] = [-0.0, 0.0]  # a zero product keeps its sign too
+    ksq = grid.k_sq.copy()
+    ksq[0, 0] = 1.0
+    want = v - np.stack(np.broadcast_arrays(grid.k1 / ksq, grid.k2 / ksq)) * (
+        grid.k1 * v[0] + grid.k2 * v[1])
+    assert grid.leray_project(v).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_project_grid_is_the_band_round_trip_bit_for_bit(n):
+    # the mass operator's G(P(S(v))) without the band: the same bits for a
+    # scalar, a Leray 2-stack and a 2x2 stack, over the whole band (None
+    # and its count), no mode and the first 37
+    rng = np.random.default_rng(n)
+    grid = make_grid(n)
+    for lead, leray in (((), False), ((2,), True), ((2, 2), False)):
+        for n_modes in (None, 0, 37, grid.n_band_modes):
+            v = rng.standard_normal(lead + grid.n_grid)
+            want = grid.to_grid(grid.project(grid.to_spectral(v), leray, n_modes))
+            got = grid.project_grid(v, leray, n_modes)
+            assert got.shape == v.shape and got.tobytes() == want.tobytes(), (lead, n_modes)
+
+
+@pytest.mark.parametrize("lead, leray, n_modes", [((), False, None), ((2,), True, None),
+                                                  ((2,), True, 37)])
+def test_project_grid_leaves_the_shared_pad_buffer_as_to_grid_expects_it(lead, leray, n_modes):
+    # project_grid runs r2c into the half-plane buffer to_grid pads the
+    # band into; an r2c entry left outside the band would reach to_grid
+    rng = np.random.default_rng(12)
+    grid = make_grid(32)
+    grid.project_grid(rng.standard_normal(lead + grid.n_grid), leray, n_modes)
+    coef = grid.to_spectral(rng.standard_normal(lead + grid.n_grid))
+    assert grid.to_grid(coef).tobytes() == make_grid(32).to_grid(coef).tobytes()
+
+
+@pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
 def test_to_spectral_is_exactly_hermitian(lengths, n_grid):
     rng = np.random.default_rng(6)
     grid = TorusGrid(lengths, n_grid)

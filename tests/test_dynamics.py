@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -188,7 +189,7 @@ def test_cg_returns_only_on_the_true_residual():
         rho = 1.0 + 9999 * rng.uniform(0.5, 1.0) * bump
         w = 1.0 / np.sqrt(rho)
         b = g.leray_project(g.to_spectral(rng.standard_normal((2, 32, 32))))
-        apply_b = _mass_apply(g, g.leray_project, rho)
+        apply_b = _mass_apply(g, {"leray": True}, rho)
         c = w * g.to_grid(b)
         y = _cg(apply_b, c, g.to_grid(b / rho.mean()) / w, 1e-13, "velocity")
         assert _norm(c - apply_b(y)) <= 1e-13 * _norm(c), seed
@@ -211,8 +212,8 @@ def blob_mass_operators(n=16, ratio=100.0):
         coef = g.leray_project(g.to_spectral(np.random.default_rng(seed).standard_normal((2, n, n))))
         return g.to_grid(coef) * sqrt_rho
 
-    return [(_mass_apply(g, lambda c: c, rho), scalar_field),
-            (_mass_apply(g, g.leray_project, rho), vector_field)]
+    return [(_mass_apply(g, {}, rho), scalar_field),
+            (_mass_apply(g, {"leray": True}, rho), vector_field)]
 
 
 def a_norm_sq(apply_a, e):
@@ -566,6 +567,35 @@ def test_mass_solve_reaches_cg_through_five_positional_arguments(monkeypatch):
     solve_mu(prob, state.phi, state.rho, x0=state.mu)
     rhs(prob, state)
     assert calls == [(5, {})] * 3
+
+
+def test_mass_operator_stays_on_the_grid_and_builds_no_mode_mask_for_the_whole_band(monkeypatch):
+    # every application of a mass operator is two TorusGrid.project_grid
+    # calls, no band transform; without a mode count no solve builds the
+    # mode ranks, with the mode list 0.8 ms of set-up at 128^2
+    prob = make_problem(n=16, rho=BlobDensity(1.0, 99.0, 0.8, (np.pi, np.pi), BOX))
+    g = prob.grid
+    state = make_state(prob, u_taylor_green(g, 0.3), phi_band_random(g, seed=7, kmax=3, amplitude=0.3))
+    transforms, per_application = [], []
+    for name in ("to_spectral", "to_grid"):
+        monkeypatch.setattr(TorusGrid, name, lambda self, a, f=getattr(TorusGrid, name):
+                            transforms.append(1) or f(self, a))
+    cg = dynamics._cg
+
+    def spy(apply_a, b, x0, rtol, label):
+        def counted(y):
+            before = len(transforms)
+            out = apply_a(y)
+            per_application.append(len(transforms) - before)
+            return out
+
+        return cg(counted, b, x0, rtol, label)
+
+    monkeypatch.setattr(dynamics, "_cg", spy)
+    solve_mu(prob, state.phi, state.rho, x0=state.mu)
+    rhs(prob, state)
+    assert per_application and set(per_application) == {0}
+    assert "_band_rank" not in vars(g)
 
 
 def test_a_ten_thousand_to_one_blob_steps_with_every_solve_under_100_iterations(monkeypatch):
@@ -1074,6 +1104,24 @@ def test_run_steps_to_a_horizon_below_the_rounding_of_unit_time():
     assert out.n_steps == 1
     assert out.final_state.t == 1e-13
     assert [s.t for s in seen] == [0.0, 1e-13]
+
+
+def test_run_takes_no_sliver_step_where_the_summed_steps_fall_short(monkeypatch):
+    # 100,000 steps of grid128's dt sum to less than t_end by more than the
+    # 1e-12 relative tolerance; run counts its steps and takes no 100,001st
+    prob = make_problem()
+    g = prob.grid
+    dt = 2.0021081987431452e-05
+    monkeypatch.setattr(dynamics, "step", lambda problem, state, cfg, dt, deriv0:
+                        (dataclasses.replace(state, t=state.t + dt), None))
+    seen = []
+    out = run(prob, u_zero(g), phi_constant(g, 0.1), StepperConfig(dt=dt, t_end=100_000 * dt),
+              sinks=[seen.append], cadence=1000)
+    assert out.n_steps == 100_000
+    # the initial state, then every 1000th, the last of them the final state
+    assert len(seen) == 1 + 100
+    assert seen[-1] is out.final_state
+    assert out.final_state.t == pytest.approx(100_000 * dt, rel=1e-10)
 
 
 def test_a_dropped_state_frees_its_density():
