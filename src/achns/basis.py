@@ -29,20 +29,40 @@ every call as if the jet were empty, so a jet changes no plan and no bit.
 Transforms call scipy's pocketfft binding directly, with the arguments
 ``scipy.fft``'s wrappers pass for ``norm="forward"``, for the same bits
 without the wrappers' dispatch and checks: 8.5 of a 13.9 us ``rfft2``
-at 32^2. A scipy without that private binding fails at import, naming it.
+at 32^2. It loads alone, under its own name in sys.modules, where a later
+``import scipy.fft`` finds it, without the ``__init__``s of scipy, ``scipy.fft``
+and ``_pocketfft`` (85 modules, 26 MiB). A scipy without it fails, naming it.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# r2c(a, axes, forward, inorm, out, nthreads), c2r(a, axes, lastsize, forward,
-# inorm, out, nthreads), c2c as r2c. pocketfft's norm codes: 0 leaves a
-# transform unscaled, 1 divides it by sqrt(N), 2 by N; norm="forward" is
-# inorm 2 forward, 0 inverse
-from scipy.fft._pocketfft.pypocketfft import c2c as _c2c, c2r as _c2r, r2c as _r2c
 
 from .errors import DimensionError, DomainError
+
+
+def _load_binding(name="scipy.fft._pocketfft.pypocketfft"):
+    """r2c(a, axes, forward, inorm, out, nthreads), c2r(a, axes, lastsize, forward, inorm,
+    out, nthreads) and c2c as r2c, from sys.modules or a file in scipy's directory, whose
+    find_spec runs no scipy code. Norm codes: 0 leaves a transform unscaled, 1 divides it
+    by sqrt(N), 2 by N; norm="forward" is inorm 2 forward, 0 inverse."""
+    if name not in sys.modules:
+        dirs = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None)
+        where = [os.path.join(d, "fft", "_pocketfft") for d in dirs or ()]
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        if spec is None:
+            raise ImportError(f"no {name} under scipy's directories {where}", name=name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].r2c, sys.modules[name].c2r, sys.modules[name].c2c
+
+
+_r2c, _c2r, _c2c = _load_binding()
 
 
 @dataclass(frozen=True)

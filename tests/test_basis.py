@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -349,6 +353,43 @@ def test_transforms_call_pocketfft_directly():
 
     assert (basis._r2c, basis._c2r, basis._c2c) == (pypocketfft.r2c, pypocketfft.c2r,
                                                     pypocketfft.c2c)
+
+
+def _fresh_interpreter(code, pythonpath=()):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(basis.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*map(str, pythonpath), src])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("imports", ["import achns.basis as basis, scipy.fft",
+                                     "import scipy.fft, achns.basis as basis"])
+def test_the_binding_loads_once_in_either_import_order(imports):
+    # basis registers the binding under its own name, so scipy.fft reuses it
+    # and gives its bits, and basis reuses one that scipy.fft loaded. Reached
+    # by a from-import, as scipy's own modules reach it: loaded by basis first,
+    # it is no attribute of the scipy.fft._pocketfft package
+    code = f"""{imports}
+import numpy as np
+from scipy.fft._pocketfft import pypocketfft
+v = np.random.default_rng(3).standard_normal((3, 32, 16))
+assert all(getattr(pypocketfft, f) is getattr(basis, "_" + f) for f in ("r2c", "c2r", "c2c"))
+assert np.array_equal(scipy.fft.rfft2(v, norm="forward"), basis._r2c(v, (-2, -1), True, 2, None, 1))
+"""
+    out = _fresh_interpreter(code)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("setup", ["scipy without the binding", "no scipy"])
+def test_a_missing_binding_fails_at_import_naming_it(tmp_path, setup):
+    if setup == "no scipy":
+        code = "import sys; sys.modules['scipy'] = None; import achns.basis"
+    else:
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        code = "import achns.basis"
+    out = _fresh_interpreter(code, [tmp_path])
+    assert out.returncode != 0
+    assert "ImportError: no scipy.fft._pocketfft.pypocketfft under" in out.stderr
 
 
 def test_to_spectral_takes_integer_grids():

@@ -327,13 +327,15 @@ def test_bihari_check(capsys):
 
 
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    # solve_ivp loads only when bihari --check runs: its 25 MiB of imports
-    # would otherwise count toward every run's peak memory
+    # solve_ivp loads only when bihari --check runs, and the transforms' binding
+    # loads without scipy.fft: their 25 and 26 MiB of imports would otherwise
+    # count toward every run's peak memory
     src = os.path.dirname(os.path.dirname(os.path.abspath(diagnostics.__file__)))
-    code = "import sys, achns.cli; print(sorted(m for m in sys.modules if 'scipy.integrate' in m))"
+    code = ("import sys, achns.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "['scipy.fft._pocketfft.pypocketfft']"
 
 
 def test_bihari_bad_args(capsys):
