@@ -26,12 +26,15 @@ A `Jet` keeps a field's Taylor derivative fields for repeated off-grid
 evaluation; ``eval_at`` takes each order from the coefficients and plans
 every call as if the jet were empty, so a jet changes no plan and no bit.
 
-Transforms call scipy's pocketfft binding directly, with the arguments
-``scipy.fft``'s wrappers pass for ``norm="forward"``, for the same bits
-without the wrappers' dispatch and checks: 8.5 of a 13.9 us ``rfft2``
-at 32^2. It loads alone, under its own name in sys.modules, where a later
-``import scipy.fft`` finds it, without the ``__init__``s of scipy, ``scipy.fft``
-and ``_pocketfft`` (85 modules, 26 MiB). A scipy without it fails, naming it.
+Transforms call scipy's pocketfft binding directly, for the bits of
+``rfft2`` and ``irfft2`` with ``norm="forward"`` without ``scipy.fft``'s
+dispatch and checks (8.5 of a 13.9 us ``rfft2`` at 32^2), one axis per
+pass: along the rows, and in place down only the half plane's columns
+0..K2, as the rest are zero or dropped. N1 and N2 are powers of two, so
+each pass's norm divides exactly. The binding loads alone, under its own
+name in sys.modules, where a later ``import scipy.fft`` finds it, without
+the ``__init__``s of scipy, ``scipy.fft`` and ``_pocketfft`` (85 modules,
+26 MiB). A scipy without it fails, naming it.
 """
 
 import importlib.machinery
@@ -169,19 +172,28 @@ class TorusGrid:
         if arr.shape[-2:] != shape:
             raise DimensionError(f"{what} shape {arr.shape} does not match {shape}")
 
+    def _forward(self, values, out=None):
+        """r2c along the rows into out, then c2c in place down columns 0..K2."""
+        half = _r2c(values, (-1,), True, 2, out, 1)
+        _c2c(cols := half[..., :self.cutoff[1] + 1], (-2,), True, 2, cols, 1)
+        return half
+
+    def _inverse(self, half):
+        """c2c in place up columns 0..K2, dirtying all N1 rows there, then c2r along the rows."""
+        _c2c(cols := half[..., :self.cutoff[1] + 1], (-2,), False, 0, cols, 1)
+        return _c2r(half, (-1,), self.n_grid[1], False, 0, None, 1)
+
     def to_spectral(self, values):
         """Grid values (..., N1, N2) -> band coefficients (..., 2K1+1, K2+1).
 
-        One real-to-complex transform per stack, then the band gather;
-        the rows k1 < 0 of column 0 become the conjugate mirrors of the
-        rows k1 > 0, so that column is exactly conjugate-symmetric.
-        """
+        `_forward`, the band gather, then the rows k1 < 0 of column 0 as the
+        conjugate mirrors of the rows k1 > 0: exactly conjugate-symmetric."""
         values = np.asarray(values)
         self._check_shape(values, self.n_grid, "field")
         if values.dtype.kind not in "fc":  # integers, as scipy.fft would take them
             values = values.astype(float)
         kc1, kc2 = self.cutoff
-        out = _r2c(values, (-2, -1), True, 2, None, 1)[..., self._spectrum_rows, :kc2 + 1]
+        out = self._forward(values)[..., self._spectrum_rows, :kc2 + 1]
         out[..., kc1 + 1:, 0] = np.conj(out[..., kc1:0:-1, 0])
         return out
 
@@ -190,7 +202,7 @@ class TorusGrid:
         return {}
 
     def _buffer(self, shape):
-        """The `_pad` buffer of one spectrum shape, zero outside the band."""
+        """The `_pad` buffer of one spectrum shape, zero above column K2."""
         out = self._pads.get(shape)
         if out is None:
             out = self._pads[shape] = np.zeros(shape, dtype=complex)
@@ -202,20 +214,20 @@ class TorusGrid:
         call of a shape returns the same buffer, as a fresh one doubled the
         time of a 128^2 stack's inverse transform: read it, keep none (fresh
         ones also cost grid128 step_ms 173.6 -> 190.5 ms on a 2-vCPU host).
-        `project_grid` shares it and restores its zeros outside the band."""
+        It zeroes the middle rows of columns 0..K2, which `_inverse` dirties."""
         n1, kc1 = self.n_grid[0], self.cutoff[0]
         out = self._buffer(coef.shape[:-2] + (n1, n_cols))
         out[..., :kc1 + 1, :coef.shape[-1]] = coef[..., :kc1 + 1, :]
+        out[..., kc1 + 1:n1 - kc1, :coef.shape[-1]] = 0
         out[..., n1 - kc1:, :coef.shape[-1]] = coef[..., kc1 + 1:, :]
         return out
 
     def to_grid(self, coef):
-        """Band coefficients (..., 2K1+1, K2+1) -> grid values, by one inverse
-        real transform of the zero-padded half plane k2 = 0..N2/2."""
+        """Band coefficients (..., 2K1+1, K2+1) -> grid values: `_inverse` of
+        the zero-padded half plane k2 = 0..N2/2 in the shared `_pad` buffer."""
         coef = np.asarray(coef)
         self._check_shape(coef, self.band_shape, "coefficient")
-        return _c2r(self._pad(coef, self.n_grid[1] // 2 + 1), (-2, -1), self.n_grid[1], False, 0,
-                    None, 1)
+        return self._inverse(self._pad(coef, self.n_grid[1] // 2 + 1))
 
     # --- calculus ---------------------------------------------------------
 
@@ -282,22 +294,21 @@ class TorusGrid:
 
     def project_grid(self, values, leray=False, n_modes=None):
         """to_grid(project(to_spectral(values), leray, n_modes)) bit for bit,
-        without the band gather and pad: r2c writes into the `_pad` buffer of
-        its shape, zeroed outside the band and mirrored in column 0 in place.
-        A space that projects within the band copies the two row blocks, k1
-        >= 0 and k1 < 0, out and back: in place on the strided blocks, the
-        Leray factors took twice as long at 32^2."""
+        without the band gather and pad: `_forward` writes into the `_pad` buffer
+        of its shape, whose columns above K2 and middle rows it zeroes and whose
+        column 0 it mirrors in place. A space that projects within the band copies
+        the row blocks k1 >= 0 and k1 < 0 out and back: in place on the strided
+        blocks, the Leray factors took twice as long at 32^2."""
         (n1, n2), (kc1, kc2) = self.n_grid, self.cutoff
-        buf = self._buffer(values.shape[:-2] + (n1, n2 // 2 + 1))
-        _r2c(values, (-2, -1), True, 2, buf, 1)
+        buf = self._forward(values, self._buffer(values.shape[:-2] + (n1, n2 // 2 + 1)))
         buf[..., kc2 + 1:] = 0
-        buf[..., kc1 + 1:n1 - kc1, :] = 0
+        buf[..., kc1 + 1:n1 - kc1, :kc2 + 1] = 0
         np.conjugate(buf[..., kc1:0:-1, 0], out=buf[..., n1 - kc1:, 0])
         if leray or n_modes is not None:
             top, bottom = buf[..., :kc1 + 1, :kc2 + 1], buf[..., n1 - kc1:, :kc2 + 1]
             band = self.project(np.concatenate([top, bottom], axis=-2), leray, n_modes)
             top[...], bottom[...] = band[..., :kc1 + 1, :], band[..., kc1 + 1:, :]
-        return _c2r(buf, (-2, -1), n2, False, 0, None, 1)
+        return self._inverse(buf)
 
     def project_scalar(self, coef, n_modes):
         """Keep the first n_modes of mode_list in a field or in each field

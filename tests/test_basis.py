@@ -281,14 +281,6 @@ _STACKS = [(), (2,), (4,), (3,), (5,), (8,), (12,), (17,), (2, 2)]
 # call site with another norm code or axis gives other bits.
 
 
-def _public_rfft2(a, *_):
-    return scipy.fft.rfft2(a, norm="forward")
-
-
-def _public_irfft2(a, *_):
-    return scipy.fft.irfft2(a, s=(a.shape[-2], 2 * (a.shape[-1] - 1)), norm="forward")
-
-
 def _public_ifft(a, *_):
     return scipy.fft.ifft(a, axis=-2, norm="forward")
 
@@ -299,7 +291,7 @@ def _public_irfft(a, *_):
 
 @pytest.mark.parametrize("lead", _STACKS)
 @pytest.mark.parametrize("lengths, n_grid", _ALL_GRIDS)
-def test_to_spectral_matches_the_complex_transform(monkeypatch, lengths, n_grid, lead):
+def test_to_spectral_matches_the_complex_transform(lengths, n_grid, lead):
     rng = np.random.default_rng(n_grid[0] + len(lead))
     grid = TorusGrid(lengths, n_grid)
     vals = rng.standard_normal(lead + n_grid)
@@ -307,14 +299,16 @@ def test_to_spectral_matches_the_complex_transform(monkeypatch, lengths, n_grid,
     got = grid.to_spectral(vals)
     assert got.shape == lead + grid.band_shape == want.shape
     assert _relative_gap(got, want) <= 1e-15
-    monkeypatch.setattr(basis, "_r2c", _public_rfft2)
-    assert np.array_equal(got, grid.to_spectral(vals))
+    # the bits of the public 2-D transform's band, column 0 mirrored
+    kc1, kc2 = grid.cutoff
+    public = scipy.fft.rfft2(vals, norm="forward")[..., grid.k1_int % n_grid[0], :kc2 + 1]
+    public[..., kc1 + 1:, 0] = np.conj(public[..., kc1:0:-1, 0])
+    assert np.array_equal(got, public)
 
 
 @pytest.mark.parametrize("lead", _STACKS)
 @pytest.mark.parametrize("lengths, n_grid", _ALL_GRIDS)
-def test_to_grid_matches_the_complex_transform_for_real_fields(monkeypatch, lengths, n_grid,
-                                                               lead):
+def test_to_grid_matches_the_complex_transform_for_real_fields(lengths, n_grid, lead):
     # exactly Hermitian full-plane coefficients inside the band
     rng = np.random.default_rng(n_grid[1] + len(lead))
     grid = TorusGrid(lengths, n_grid)
@@ -324,8 +318,39 @@ def test_to_grid_matches_the_complex_transform_for_real_fields(monkeypatch, leng
     got = grid.to_grid(band_of(grid, coef))
     assert got.shape == want.shape
     assert _relative_gap(got, want) <= 1e-15
-    monkeypatch.setattr(basis, "_c2r", _public_irfft2)
-    assert np.array_equal(got, grid.to_grid(band_of(grid, coef)))
+    # the bits of the public 2-D inverse of the zero-padded half plane
+    half = coef[..., :n_grid[1] // 2 + 1]
+    assert np.array_equal(got, scipy.fft.irfft2(half, s=n_grid, norm="forward"))
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_each_transform_is_a_row_pass_and_a_column_pass_over_the_band(monkeypatch, n):
+    # the 2-D transforms are two one-axis passes, and the column pass
+    # covers only the band's K2+1 columns of the half plane
+    grid = make_grid(n)
+    calls = []
+
+    def spy(name, binding):
+        def call(a, axes, *args):
+            calls.append((name, tuple(axes), a.shape[-1]))
+            return binding(a, axes, *args)
+        return call
+
+    for name in ("_r2c", "_c2r", "_c2c"):
+        monkeypatch.setattr(basis, name, spy(name, getattr(basis, name)))
+    rng = np.random.default_rng(n)
+    cols, half = grid.cutoff[1] + 1, n // 2 + 1
+    forward = [("_r2c", (-1,), n), ("_c2c", (-2,), cols)]
+    inverse = [("_c2c", (-2,), cols), ("_c2r", (-1,), half)]
+    for lead, leray, n_modes in (((), False, None), ((2,), True, None), ((12,), False, 37)):
+        v = rng.standard_normal(lead + grid.n_grid)
+        coef = grid.to_spectral(v)
+        for run, want in ((lambda: grid.to_spectral(v), forward),
+                          (lambda: grid.to_grid(coef), inverse),
+                          (lambda: grid.project_grid(v, leray, n_modes), forward + inverse)):
+            calls.clear()
+            run()
+            assert calls == want, (lead, calls)
 
 
 @pytest.mark.parametrize("lead", [(), (2,), (2, 2)])
@@ -464,6 +489,26 @@ def test_project_grid_leaves_the_shared_pad_buffer_as_to_grid_expects_it(lead, l
     grid.project_grid(rng.standard_normal(lead + grid.n_grid), leray, n_modes)
     coef = grid.to_spectral(rng.standard_normal(lead + grid.n_grid))
     assert grid.to_grid(coef).tobytes() == make_grid(32).to_grid(coef).tobytes()
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("lead, leray, n_modes", [((), False, None), ((2,), True, 37)])
+def test_the_shared_pad_buffer_gives_fresh_bits_in_any_order_of_calls(n, lead, leray, n_modes):
+    # the inverse's in-place column pass leaves every row of columns 0..K2
+    # dirty in the buffer to_grid and project_grid share: each call must
+    # zero what it does not write, whatever ran before it, jets included
+    rng = np.random.default_rng(n + len(lead))
+    coefs = [make_grid(n).to_spectral(rng.standard_normal(lead + (n, n))) for _ in range(3)]
+    values = [rng.standard_normal(lead + (n, n)) for _ in range(3)]
+    calls = {"to_grid": lambda g, i: g.to_grid(coefs[i]),
+             "project_grid": lambda g, i: g.project_grid(values[i], leray, n_modes)}
+    for order in (["to_grid", "to_grid"], ["project_grid", "to_grid"],
+                  ["to_grid", "project_grid", "to_grid"]):
+        grid = make_grid(n)
+        for i, name in enumerate(order):
+            got = calls[name](grid, i)
+            assert got.tobytes() == calls[name](make_grid(n), i).tobytes(), (order, i)
+            Jet(grid, coefs[i]).extend(2)
 
 
 @pytest.mark.parametrize("lengths, n_grid", _TRANSFORM_GRIDS)
