@@ -20,7 +20,7 @@ import numpy as np
 
 from .anisotropy import AnisotropyModel, gamma_sq
 from .basis import TorusGrid
-from .dynamics import FlowState, MaterialLaws
+from .dynamics import FlowState, MaterialLaws, grid_fields
 from .errors import DomainError, HorizonError
 from .potential import PotentialSpec, f_eps, f_eps_prime
 
@@ -60,21 +60,16 @@ class EnergyReport:
 
 def energy_report(grid: TorusGrid, state: FlowState, laws: MaterialLaws,
                   model: AnisotropyModel, spec: PotentialSpec) -> EnergyReport:
-    """Evaluate the full energy ledger of one state by collocation
-    quadrature."""
+    """Evaluate the full energy ledger of one state by collocation quadrature
+    of the assembly's fields: the first six of `dynamics.grid_fields`."""
     rho = state.rho.values
-    # the assembly's 12 band fields by one transform, to share its pad buffer; mu is unread
-    bands = [state.u, state.phi, grid.grad(state.phi), state.mu, grid.grad(state.u),
-             grid.grad(state.mu)]
-    vals = grid.to_grid(np.concatenate([b.reshape((-1,) + grid.band_shape) for b in bands]))
-    ug, phig, gphi_vals, gmu = vals[:2], vals[2], vals[3:5], vals[10:12]
+    ug, phig, gphi_vals, _, du, gmu = grid_fields(grid, state)[:6]
 
     e_kin = 0.5 * grid.quadrature(rho * (ug[0] ** 2 + ug[1] ** 2))
     e_surf = 0.5 * grid.quadrature(gamma_sq(model, np.moveaxis(gphi_vals, 0, -1)))
     e_pot = grid.quadrature(rho * f_eps(spec, phig))
 
-    # velocity gradient tensor d_j u_i and the symmetric stress pairing
-    du = vals[6:10].reshape((2, 2) + grid.n_grid)
+    # the symmetric stress pairing with the velocity gradient d_j u_i
     contraction = np.sum((du + du.swapaxes(0, 1)) * du, axis=(0, 1))
     d_visc = grid.quadrature(laws.nu(phig) * contraction)
     d_diff = grid.quadrature(laws.mobility(phig) * (gmu[0] ** 2 + gmu[1] ** 2))

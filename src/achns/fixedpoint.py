@@ -85,10 +85,6 @@ class FrozenPair:
     def n_steps(self):
         return self.u.shape[0] - 1
 
-    @property
-    def times(self):
-        return self.dt * np.arange(self.n_samples)
-
     def records(self, k: int):
         """Cubic interval models (velocity, order parameter) for step k."""
         t_k = k * self.dt

@@ -323,6 +323,21 @@ def test_to_grid_matches_the_complex_transform_for_real_fields(lengths, n_grid, 
     assert np.array_equal(got, scipy.fft.irfft2(half, s=n_grid, norm="forward"))
 
 
+@pytest.mark.parametrize("lengths, n_grid", _ALL_GRIDS)
+def test_each_field_of_a_stacked_transform_has_the_bits_of_its_own_transform(lengths, n_grid):
+    # every stacked call in the package, such as the assembly's 11-field
+    # to_spectral, rests on this
+    rng = np.random.default_rng(n_grid[0] + n_grid[1])
+    grid = TorusGrid(lengths, n_grid)
+    for m in (1, 3, 8, 11, 12, 17):
+        vals = rng.standard_normal((m,) + n_grid)
+        coef = grid.to_spectral(vals)
+        back = grid.to_grid(coef)
+        for i in range(m):
+            assert np.array_equal(coef[i], grid.to_spectral(vals[i]))
+            assert np.array_equal(back[i], grid.to_grid(coef[i]))
+
+
 @pytest.mark.parametrize("n", [32, 128])
 def test_each_transform_is_a_row_pass_and_a_column_pass_over_the_band(monkeypatch, n):
     # the 2-D transforms are two one-axis passes, and the column pass

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from achns.dynamics import (
     _mass_apply,
     _norm,
     _start,
+    grid_fields,
     linearized_rhs,
     rhs,
     rk4_step,
@@ -131,6 +133,39 @@ def test_problem_validation():
     prob = make_problem()
     assert prob.report.r > 0
     assert prob.report.R >= prob.report.r
+
+
+@pytest.mark.parametrize("sampler", [object(), SimpleNamespace(bounds=None),
+                                     SimpleNamespace(bounds=(1.0,)),
+                                     SimpleNamespace(bounds=(1.0, 2.0, 3.0)),
+                                     SimpleNamespace(bounds=(2.0, 1.0)),
+                                     SimpleNamespace(bounds=(0.0, 1.0)),
+                                     SimpleNamespace(bounds=(1.0, np.inf)),
+                                     SimpleNamespace(bounds=(np.nan, 1.0))])
+def test_problem_refuses_a_density_sampler_without_two_ordered_finite_bounds(sampler):
+    # each is refused when the problem is built, as a DomainError
+    with pytest.raises(DomainError, match="density"):
+        make_problem(rho=sampler)
+
+
+def test_grid_fields_are_one_transform_of_the_state_and_the_frozen_pair():
+    prob = make_problem()
+    g = prob.grid
+    state = make_state(prob, u_taylor_green(g, 0.3),
+                       phi_band_random(g, seed=5, kmax=2, amplitude=0.4, mean=-0.05))
+    tilde_u, tilde_phi = 0.5 * state.u, 0.5 * state.phi
+    frozen = grid_fields(g, state, (tilde_u, tilde_phi))
+    bands = (state.u, state.phi, g.grad(state.phi), state.mu, g.grad(state.u),
+             g.grad(state.mu), tilde_u, tilde_phi, g.grad(tilde_phi))
+    for got, coef in zip(frozen, bands, strict=True):
+        assert np.array_equal(got, g.to_grid(coef))
+    # without a frozen pair, the last three are the state's own u, phi and grad phi
+    own = grid_fields(g, state)
+    v1, v2 = g.n_grid, (2,) + g.n_grid
+    assert [f.shape for f in own] == [v2, v1, v2, v1, (2, 2) + g.n_grid, v2, v2, v1, v2]
+    assert all(a is b for a, b in zip(own[6:], own[:3]))
+    for a, b in zip(own[:6], frozen[:6]):
+        assert np.array_equal(a, b)
 
 
 def test_stability_bound_formula():
@@ -478,10 +513,10 @@ def test_linearized_matches_rhs_when_frozen_is_current():
 
 
 @pytest.mark.parametrize("linearized", [False, True])
-def test_each_right_hand_side_makes_two_forward_transforms(monkeypatch, linearized):
+def test_each_right_hand_side_makes_one_forward_transform(monkeypatch, linearized):
     # with the mass solves stubbed out, the momentum terms (stress,
-    # convection, force) go through one transform and the concentration
-    # terms (mobility flux, convection) through another
+    # convection, force) and the concentration terms (mobility flux,
+    # convection) leave the grid by one transform of 11 fields
     prob = make_problem()
     g = prob.grid
     state = make_state(prob, u_taylor_green(g, 0.3),
@@ -499,7 +534,7 @@ def test_each_right_hand_side_makes_two_forward_transforms(monkeypatch, lineariz
         linearized_rhs(prob, state, state.u, state.phi)
     else:
         rhs(prob, state)
-    assert calls == [(8,) + g.n_grid, (3,) + g.n_grid]
+    assert calls == [(11,) + g.n_grid]
 
 
 @pytest.mark.parametrize("linearized", [False, True])
